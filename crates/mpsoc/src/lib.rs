@@ -18,7 +18,8 @@
 //! The [`Platform::agx_xavier`] preset is calibrated so that the GPU-only /
 //! DLA-only baseline rows of the paper's Table II (latency and energy of
 //! Visformer and VGG-19) are reproduced to within a few percent; see the
-//! `calibration` integration test and `EXPERIMENTS.md`.
+//! `visformer_baselines_match_paper_within_tolerance` and
+//! `vgg19_baselines_match_paper_within_tolerance` tests in `platform.rs`.
 //!
 //! # Example
 //!

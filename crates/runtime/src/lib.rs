@@ -97,7 +97,7 @@ pub use qos::{
     DrrQueue, TenantPolicy, TenantPolicyTable, TokenBucket, DEFAULT_PRIORITY, DEFAULT_TENANT,
 };
 pub use registry::ModelRegistry;
-pub use response_cache::ResponseCacheStats;
+pub use response_cache::{ResponseCacheStats, StoredResponse};
 pub use scheduler::{BatchConfig, BatchReport, BatchStats};
 pub use service::{MappingRequest, MappingResponse, MappingService, RequestStats, ServiceConfig};
 pub use telemetry::{ServingMetrics, TelemetryConfig, TenantMetrics};

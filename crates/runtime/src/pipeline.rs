@@ -74,7 +74,7 @@
 
 use crate::cached::CachedEvaluator;
 use crate::error::RuntimeError;
-use crate::response_cache::ResponseKey;
+use crate::response_cache::{ResponseKey, StoredResponse};
 use crate::scheduler::{normalized_for_coalescing, BatchConfig, BatchReport, BatchStats};
 use crate::service::{MappingRequest, MappingResponse, MappingService, RequestStats};
 use mnc_core::fingerprint_serialized;
@@ -309,8 +309,10 @@ pub enum FastPathOutcome {
     /// An identical cold request was answered before: the stored
     /// response is replayed verbatim (stats included, the way coalesced
     /// batch duplicates replay their leader's). The search pool was
-    /// never touched.
-    Answered(Box<MappingResponse>),
+    /// never touched. The answer is shared with the response cache, not
+    /// copied; a front-end can send its cached encoding
+    /// ([`StoredResponse::json`]).
+    Answered(Arc<StoredResponse>),
     /// The request is valid but needs a search; redeem the ticket with
     /// [`RequestPipeline::slow_path`] — inline or on a worker thread.
     NeedsSearch(Box<SearchTicket>),
@@ -621,7 +623,7 @@ impl<'s> RequestPipeline<'s> {
     /// internal evaluation failure.
     pub fn run(&self, request: &MappingRequest) -> Result<MappingResponse, RuntimeError> {
         match self.fast_path(request) {
-            FastPathOutcome::Answered(response) => Ok(*response),
+            FastPathOutcome::Answered(stored) => Ok(stored.response().clone()),
             FastPathOutcome::NeedsSearch(ticket) => self.slow_path(*ticket),
             FastPathOutcome::Rejected(error) => Err(error),
         }
@@ -678,7 +680,7 @@ impl<'s> RequestPipeline<'s> {
                 .request_duration
                 .record(saturating_nanos(started.elapsed()));
             telemetry.finish_trace(trace.take_recorder(), None);
-            return FastPathOutcome::Answered(Box::new(MappingResponse::clone(&stored)));
+            return FastPathOutcome::Answered(stored);
         }
         FastPathOutcome::NeedsSearch(Box::new(SearchTicket {
             deadline: request
@@ -1380,7 +1382,7 @@ mod tests {
         // Answered: redeeming the ticket stored the response, so the
         // identical request now completes inside the fast path.
         match pipeline.fast_path(&small_request()) {
-            FastPathOutcome::Answered(replay) => assert_eq!(*replay, response),
+            FastPathOutcome::Answered(replay) => assert_eq!(*replay.response(), response),
             other => panic!("expected a fast-path answer, got {other:?}"),
         }
         // The fingerprint is the batch-coalescing key: stable across
@@ -1495,7 +1497,7 @@ mod tests {
         // The completed response is stored for fast-path replay exactly
         // like the one-shot slow path's.
         match pipeline.fast_path(&small_request()) {
-            FastPathOutcome::Answered(replay) => assert_eq!(*replay, response),
+            FastPathOutcome::Answered(replay) => assert_eq!(*replay.response(), response),
             other => panic!("expected a fast-path answer, got {other:?}"),
         }
     }

@@ -16,10 +16,15 @@
 //! additionally depend on the archive history at the time they ran, so
 //! replaying one would freeze that history into future answers.
 //!
-//! Replayed responses are verbatim clones — `RequestStats` included —
+//! Replayed responses are verbatim copies — `RequestStats` included —
 //! exactly like the coalesced duplicates of a batch, which carry their
-//! group leader's accounting. The eviction policy is LRU over a bounded
-//! entry count, the same recency idiom as the evaluator pool.
+//! group leader's accounting. A probe hands out the shared
+//! [`StoredResponse`], which also keeps the response's compact JSON once
+//! the first replay has asked for it, so a network front-end encodes each
+//! stored front once rather than on every replay. Entries that are never
+//! replayed never pay for (or hold) the encoding. The eviction policy is
+//! LRU over a bounded entry count, the same recency idiom as the
+//! evaluator pool.
 //!
 //! [`normalized_for_coalescing`]: crate::scheduler
 
@@ -27,7 +32,7 @@ use crate::service::{MappingRequest, MappingResponse};
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Default bound on cached responses. Each entry pins a Pareto front
 /// (genome `Arc`s plus per-config results), so the cache is bounded like
@@ -42,10 +47,50 @@ pub(crate) struct ResponseKey {
     pub(crate) normalized: MappingRequest,
 }
 
+/// A stored answer, shared by every replay of it.
+#[derive(Debug)]
+pub struct StoredResponse {
+    response: MappingResponse,
+    /// The compact JSON of `response`, encoded by the first [`json`]
+    /// call; `None` when the response holds a non-finite float.
+    ///
+    /// [`json`]: StoredResponse::json
+    json: OnceLock<Option<Box<str>>>,
+}
+
+impl StoredResponse {
+    fn new(response: MappingResponse) -> Self {
+        StoredResponse {
+            response,
+            json: OnceLock::new(),
+        }
+    }
+
+    /// The stored response.
+    pub fn response(&self) -> &MappingResponse {
+        &self.response
+    }
+
+    /// The response's compact JSON (`serde_json::to_string`), encoded on
+    /// the first call and kept for every later one. `None` when the
+    /// response cannot be encoded (a non-finite float).
+    pub fn json(&self) -> Option<&str> {
+        // Boxed to its exact length: the encoder's growth slack would
+        // otherwise stay resident with every cached entry.
+        self.json
+            .get_or_init(|| {
+                serde_json::to_string(&self.response)
+                    .ok()
+                    .map(String::into_boxed_str)
+            })
+            .as_deref()
+    }
+}
+
 #[derive(Debug)]
 struct Entry {
     normalized: MappingRequest,
-    response: Arc<MappingResponse>,
+    response: Arc<StoredResponse>,
 }
 
 #[derive(Debug, Default)]
@@ -113,7 +158,7 @@ impl ResponseCache {
     /// Looks up the stored response for `key`, marking it most recently
     /// used. A fingerprint match with a different normalised request (a
     /// 64-bit collision) counts as a miss.
-    pub(crate) fn probe(&self, key: &ResponseKey) -> Option<Arc<MappingResponse>> {
+    pub(crate) fn probe(&self, key: &ResponseKey) -> Option<Arc<StoredResponse>> {
         if !self.enabled() {
             return None;
         }
@@ -158,7 +203,7 @@ impl ResponseCache {
                 key.fingerprint,
                 Entry {
                     normalized: key.normalized.clone(),
-                    response: Arc::new(response.clone()),
+                    response: Arc::new(StoredResponse::new(response.clone())),
                 },
             )
             .is_some();
@@ -244,10 +289,31 @@ mod tests {
         assert!(cache.probe(&key).is_none());
         cache.insert(&key, &response_for(&request));
         let hit = cache.probe(&key).expect("stored response replays");
-        assert_eq!(hit.model, request.model);
+        assert_eq!(hit.response().model, request.model);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.insertions), (1, 1, 1));
         assert_eq!(stats.entries, 1);
+    }
+
+    #[test]
+    fn stored_json_is_encoded_once_and_matches_serde_json() {
+        let cache = ResponseCache::new(4);
+        let request = request(1);
+        let key = key_for(&request, 5);
+        let response = response_for(&request);
+        cache.insert(&key, &response);
+        let first = cache.probe(&key).expect("stored response replays");
+        let json = first.json().expect("finite response encodes");
+        assert_eq!(json, serde_json::to_string(&response).unwrap());
+        // A later replay shares the same bytes instead of re-encoding.
+        let again = cache.probe(&key).expect("stored response replays");
+        assert!(std::ptr::eq(json, again.json().unwrap()));
+
+        let mut unencodable = response_for(&request);
+        unencodable.stats.elapsed_ms = f64::NAN;
+        let key = key_for(&request, 6);
+        cache.insert(&key, &unencodable);
+        assert_eq!(cache.probe(&key).unwrap().json(), None);
     }
 
     #[test]

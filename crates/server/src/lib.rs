@@ -55,8 +55,8 @@ use mnc_runtime::{ArchiveLoad, MappingRequest, MappingService, RuntimeError, Tel
 use mnc_wire::frame::{self, FrameError};
 use mnc_wire::{
     decode_request, encode_response, ErrorCode, MetricsReport, PersistReport, ServiceStats,
-    WireBatch, WireBatchReport, WireBody, WireError, WirePayload, WireRequest, WireResponse,
-    WireResult, PROTOCOL_VERSION,
+    WireBatch, WireBatchReport, WireBody, WireError, WireOutcome, WirePayload, WireRequest,
+    WireResponse, WireResult, PROTOCOL_VERSION,
 };
 use std::collections::HashMap;
 use std::io::BufReader;
@@ -436,6 +436,19 @@ pub(crate) fn encode_response_or_internal(response: &WireResponse) -> String {
             WireError::new(ErrorCode::Internal, format!("unserializable response: {e}")),
         ))
         .expect("error responses always serialize")
+    })
+}
+
+/// Encodes one outcome for [`mnc_wire::EncodedOutcome`], degrading an
+/// unserializable one to a structured Internal error exactly as
+/// [`encode_response_or_internal`] does.
+pub(crate) fn encode_outcome_or_internal(outcome: &WireOutcome) -> String {
+    serde_json::to_string(outcome).unwrap_or_else(|e| {
+        serde_json::to_string(&WireOutcome::Err(WireError::new(
+            ErrorCode::Internal,
+            format!("unserializable response: {e}"),
+        )))
+        .expect("error outcomes always serialize")
     })
 }
 

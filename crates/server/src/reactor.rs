@@ -82,8 +82,8 @@
 
 use crate::poller::{raw_fd, wake_pair, Interest, Poller};
 use crate::{
-    encode_response_or_internal, panic_error, Dispatcher, ServerConfig, ServerError,
-    ARCHIVE_FILE_NAME,
+    encode_outcome_or_internal, encode_response_or_internal, panic_error, Dispatcher, ServerConfig,
+    ServerError, ARCHIVE_FILE_NAME,
 };
 use mnc_runtime::{
     ArchiveLoad, CancelToken, DrrQueue, FastPathOutcome, MappingRequest, MappingResponse,
@@ -92,7 +92,7 @@ use mnc_runtime::{
     DEFAULT_TENANT,
 };
 use mnc_wire::frame::FrameDecoder;
-use mnc_wire::{WireBody, WireError, WirePayload, WireResponse};
+use mnc_wire::{EncodedOutcome, WireBody, WireError, WireOutcome, WirePayload, WireResponse};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -1091,9 +1091,16 @@ impl EventLoop<'_> {
         let outcome = catch_unwind(AssertUnwindSafe(|| service.pipeline().fast_path(&request)));
         match outcome {
             Err(panic) => self.send_response(token, &WireResponse::err(id, panic_error(panic))),
-            Ok(FastPathOutcome::Answered(response)) => {
-                self.send_response(token, &WireResponse::ok(id, WirePayload::Front(*response)));
-            }
+            // A replay sends the cached encoding of its front; only a
+            // front that cannot be encoded takes the generic path, which
+            // answers it with an Internal error.
+            Ok(FastPathOutcome::Answered(stored)) => match stored.json() {
+                Some(json) => self.send_encoded(token, id, EncodedOutcome::front(json)),
+                None => self.send_response(
+                    token,
+                    &WireResponse::ok(id, WirePayload::Front(stored.response().clone())),
+                ),
+            },
             Ok(FastPathOutcome::Rejected(error)) => {
                 self.send_response(token, &WireResponse::err(id, WireError::from(error)));
             }
@@ -1379,17 +1386,31 @@ impl EventLoop<'_> {
                     self.inflight_index.remove(&fingerprint);
                 }
             }
+            // One encoding serves every waiter of a coalesced job.
+            let outcome = match completion.result {
+                Ok(payload) => WireOutcome::payload(payload),
+                Err(error) => WireOutcome::Err(error),
+            };
+            let json = encode_outcome_or_internal(&outcome);
             for (token, id) in job.waiters {
-                let response = match &completion.result {
-                    Ok(payload) => WireResponse::ok(id, payload.clone()),
-                    Err(error) => WireResponse::err(id, error.clone()),
-                };
                 if let Some(conn) = self.conns.get_mut(&token) {
                     conn.inflight = conn.inflight.saturating_sub(1);
                 }
-                self.send_response(token, &response);
+                self.send_encoded(token, id, EncodedOutcome::new(&json));
             }
         }
+    }
+
+    /// Queues one pre-encoded outcome, answering request `id`, on the
+    /// connection's out-buffer and flushes as much as the socket takes.
+    fn send_encoded(&mut self, token: u64, id: u64, outcome: EncodedOutcome<'_>) {
+        {
+            let Some(conn) = self.conns.get_mut(&token) else {
+                return;
+            };
+            outcome.write_frame(id, &mut conn.outbuf);
+        }
+        self.flush(token);
     }
 
     /// Queues one encoded response on the connection's out-buffer and

@@ -9,7 +9,10 @@ use mnc_server::{
     ServerConfig, WireClient,
 };
 use mnc_wire::frame;
-use mnc_wire::{ErrorCode, WireBatch, WireOutcome, WireResult};
+use mnc_wire::{
+    encode_request, encode_response, ErrorCode, WireBatch, WireBody, WireOutcome, WirePayload,
+    WireRequest, WireResponse, WireResult,
+};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -95,13 +98,17 @@ fn wire_batch_coalesces_and_reports_per_request_results() {
 }
 
 /// Sends a raw payload in one frame and returns the response text.
-fn raw_frame_exchange(addr: SocketAddr, payload: &str) -> mnc_wire::WireResponse {
+fn raw_frame_text(addr: SocketAddr, payload: &str) -> String {
     let stream = TcpStream::connect(addr).unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
     frame::write_frame(&mut writer, payload).unwrap();
-    let text = frame::read_frame(&mut reader).unwrap().expect("answered");
-    mnc_wire::decode_response(&text).unwrap()
+    frame::read_frame(&mut reader).unwrap().expect("answered")
+}
+
+/// Sends a raw payload in one frame and returns the decoded response.
+fn raw_frame_exchange(addr: SocketAddr, payload: &str) -> mnc_wire::WireResponse {
+    mnc_wire::decode_response(&raw_frame_text(addr, payload)).unwrap()
 }
 
 #[test]
@@ -340,6 +347,21 @@ fn reactor_submit_and_batch_are_bit_identical_to_in_process() {
         assert_eq!(a.result.objective.to_bits(), b.result.objective.to_bits());
     }
 
+    // A verbatim repeat is a response-cache replay, sent from the cached
+    // encoding: byte for byte the frame the encoder writes for it.
+    let text = encode_request(&WireRequest::new(
+        u64::MAX,
+        WireBody::Submit(Box::new(request.clone())),
+    ))
+    .unwrap();
+    let replay = raw_frame_text(handle.addr(), &text);
+    let encoded = encode_response(&WireResponse::ok(
+        u64::MAX,
+        WirePayload::Front(over_wire.clone()),
+    ))
+    .unwrap();
+    assert_eq!(replay, encoded);
+
     // Batches run on the search-worker pool but keep the coalescing
     // semantics of the blocking server.
     let report = client
@@ -363,6 +385,40 @@ fn reactor_submit_and_batch_are_bit_identical_to_in_process() {
 
     client.shutdown().unwrap();
     handle.join().unwrap();
+}
+
+#[test]
+fn reactor_answers_a_hostile_nesting_depth_and_keeps_serving() {
+    let handle = spawn_reactor_on_ephemeral_port(None, RequestLimits::default()).unwrap();
+    // 100,000 openers once overflowed the recursive parser's stack and
+    // aborted the whole process. Whether they are the whole frame or sit
+    // in a field the decoder skips, the answer is structured.
+    let openers = "[".repeat(100_000);
+    for (payload, nesting) in [
+        (openers.clone(), false),
+        (
+            format!("{{\"version\":1,\"id\":5,\"extra\":{openers}"),
+            true,
+        ),
+    ] {
+        let response = raw_frame_exchange(handle.addr(), &payload);
+        assert_eq!(response.id, 0);
+        match response.outcome {
+            WireOutcome::Err(error) => {
+                assert_eq!(error.code, ErrorCode::MalformedRequest);
+                assert_eq!(
+                    error.message.contains("nesting"),
+                    nesting,
+                    "{}",
+                    error.message
+                );
+            }
+            WireOutcome::Ok(_) => panic!("a hostile frame was accepted"),
+        }
+    }
+    let mut client = WireClient::connect(handle.addr()).unwrap();
+    client.ping().unwrap();
+    handle.shutdown().unwrap();
 }
 
 #[test]

@@ -429,6 +429,51 @@ pub fn decode_response(text: &str) -> Result<WireResponse, serde_json::Error> {
     serde_json::from_str(text)
 }
 
+/// A response outcome encoded once, with the correlation id left open.
+///
+/// A replayed or coalesced answer goes to many requests that differ only
+/// in their id. [`EncodedOutcome::write_frame`] splices each id into the
+/// one encoding and yields byte for byte the frame of
+/// [`encode_response`] for that id, without re-encoding the payload.
+#[derive(Debug, Clone, Copy)]
+pub struct EncodedOutcome<'a> {
+    /// The outcome's compact JSON, in pieces written in order.
+    parts: [&'a str; 3],
+}
+
+impl<'a> EncodedOutcome<'a> {
+    /// An outcome from its compact JSON (`serde_json::to_string` of a
+    /// [`WireOutcome`]).
+    pub fn new(outcome_json: &'a str) -> Self {
+        EncodedOutcome {
+            parts: [outcome_json, "", ""],
+        }
+    }
+
+    /// The outcome of [`WirePayload::Front`] around a response's compact
+    /// JSON (`serde_json::to_string` of a [`MappingResponse`]).
+    pub fn front(response_json: &'a str) -> Self {
+        EncodedOutcome {
+            parts: ["{\"Ok\":{\"Front\":", response_json, "}}"],
+        }
+    }
+
+    /// Appends the length-prefixed frame of the response to request `id`
+    /// to `out` (the [`frame`] format).
+    pub fn write_frame(&self, id: u64, out: &mut Vec<u8>) {
+        let head = format!("{{\"version\":{PROTOCOL_VERSION},\"id\":{id},\"outcome\":");
+        let len = head.len() + self.parts.iter().map(|p| p.len()).sum::<usize>() + 1;
+        let prefix = format!("{len}\n");
+        out.reserve(prefix.len() + len);
+        out.extend_from_slice(prefix.as_bytes());
+        out.extend_from_slice(head.as_bytes());
+        for part in self.parts {
+            out.extend_from_slice(part.as_bytes());
+        }
+        out.push(b'}');
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

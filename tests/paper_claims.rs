@@ -1,6 +1,9 @@
 //! Qualitative claims of the paper's evaluation section, checked end to
-//! end against the simulated substrate (absolute numbers differ — see
-//! `EXPERIMENTS.md` — but the orderings and trends must hold).
+//! end against the simulated substrate. Absolute numbers differ from the
+//! paper's, apart from the calibrated single-unit baselines, which the
+//! `visformer_baselines_match_paper_within_tolerance` and
+//! `vgg19_baselines_match_paper_within_tolerance` tests in
+//! `crates/mpsoc/src/platform.rs` pin; the orderings and trends must hold.
 
 use map_and_conquer::core::{EvaluatorBuilder, MappingConfig};
 use map_and_conquer::dynamic::{
