@@ -171,22 +171,22 @@ pub fn single_cu_baselines(
     Ok((gpu, dla))
 }
 
-/// Accuracy-drop ladder used when picking "Ours-L" / "Ours-E" from a Pareto
-/// front: prefer configurations within 0.5% of the baseline (the paper's
+/// Accuracy-drop ladder used when picking "Ours-L" / "Ours-E" from a
+/// search outcome: prefer configurations within 0.5% of the baseline (the paper's
 /// highlighted points), then progressively relax up to 6% (the drop the
 /// paper reports under the 50% reuse constraint).
 pub const ACCURACY_DROP_LADDER: [f64; 5] = [0.005, 0.02, 0.04, 0.06, 0.08];
 
-/// Picks the energy-oriented Pareto configuration with the smallest
-/// tolerated accuracy drop (walking up [`ACCURACY_DROP_LADDER`]).
+/// Picks the energy-oriented configuration with the smallest tolerated
+/// accuracy drop (walking up [`ACCURACY_DROP_LADDER`]).
 pub fn pick_energy_oriented(outcome: &SearchOutcome) -> Option<&mnc_optim::EvaluatedConfig> {
     ACCURACY_DROP_LADDER
         .iter()
         .find_map(|drop| outcome.energy_oriented(*drop))
 }
 
-/// Picks the latency-oriented Pareto configuration with the smallest
-/// tolerated accuracy drop (walking up [`ACCURACY_DROP_LADDER`]).
+/// Picks the latency-oriented configuration with the smallest tolerated
+/// accuracy drop (walking up [`ACCURACY_DROP_LADDER`]).
 pub fn pick_latency_oriented(outcome: &SearchOutcome) -> Option<&mnc_optim::EvaluatedConfig> {
     ACCURACY_DROP_LADDER
         .iter()

@@ -5,26 +5,24 @@
 //! which turns a genome into a decoded configuration plus its metrics.
 //! This is the seam where alternative evaluation strategies plug in:
 //!
-//! * [`mnc_core::Evaluator`] implements it by decoding and evaluating from
-//!   scratch every time (the paper's offline workflow),
+//! * [`mnc_core::Evaluator`] implements it by decoding the genome and
+//!   running [`mnc_core::Evaluator::evaluate_fused_keyed`], which runs the
+//!   transform recursion into flat storage instead of materialising a
+//!   `DynamicNetwork` per candidate (bit-identical to
+//!   [`mnc_core::Evaluator::evaluate`], two orders of magnitude fewer
+//!   allocations),
 //! * `mnc_runtime::CachedEvaluator` implements it with a sharded
-//!   fingerprint-keyed cache in front, so repeated genomes — within one
-//!   search or across service requests — skip both the decode and the
-//!   simulation.
+//!   fingerprint-keyed cache in front of the same fused call, so repeated
+//!   genomes — within one search or across service requests — skip both
+//!   the decode and the simulation.
 //!
 //! Results come back `Arc`-backed: one evaluation is shared by the search
 //! archive, the elite set and any cache layer without ever deep-cloning
 //! the decoded configuration again.
 //!
-//! The search loop's fresh evaluations go through
-//! [`ConfigEvaluator::evaluate_genome_fast`]: implementations route it to
-//! their cheapest bit-identical pipeline — for [`mnc_core::Evaluator`]
-//! that is [`mnc_core::Evaluator::evaluate_fused`], which runs the
-//! transform recursion into flat storage instead of materialising a
-//! `DynamicNetwork` per candidate (a GA population practically never
-//! repeats a structure, so per-structure transform caching cannot help;
-//! making the one-shot pipeline allocation-light does). The default
-//! implementation falls back to [`ConfigEvaluator::evaluate_genome`].
+//! [`ConfigEvaluator::evaluate_genome_reference`] keeps the pre-fast-path
+//! pipeline (row-by-row decode plus the transform-materialising
+//! `evaluate`) as the oracle the fused hook is tested against.
 //!
 //! Implementations must be pure: the same genome must always produce the
 //! same result. The search relies on this for its determinism guarantee
@@ -46,7 +44,9 @@ pub trait ConfigEvaluator: Sync {
     /// The platform candidates are mapped onto.
     fn platform(&self) -> &Platform;
 
-    /// Decodes and evaluates one genome.
+    /// Decodes and evaluates one genome through the implementation's
+    /// fastest bit-identical pipeline — the hook the search loop's fresh
+    /// (non-memoised) evaluations use.
     ///
     /// # Errors
     ///
@@ -57,10 +57,9 @@ pub trait ConfigEvaluator: Sync {
         genome: &Genome,
     ) -> Result<(Arc<MappingConfig>, Arc<EvaluationResult>), OptimError>;
 
-    /// Like [`ConfigEvaluator::evaluate_genome`], through the
-    /// implementation's fastest bit-identical pipeline — the hook the
-    /// search loop's fresh (non-memoised) evaluations use. The default
-    /// forwards to the plain path.
+    /// Forwards to [`ConfigEvaluator::evaluate_genome`]. Kept only for
+    /// the benchmark harness under `perfbench/`, which calls it by this
+    /// name; nothing overrides it and the search does not call it.
     ///
     /// # Errors
     ///
@@ -76,7 +75,7 @@ pub trait ConfigEvaluator: Sync {
     /// implementation's retained pre-fast-path pipeline — the hook
     /// [`crate::MappingSearch::run_reference`] drives so the benchmark
     /// baseline pays what the loop paid before the search fast path. The
-    /// default forwards to the plain path.
+    /// default forwards to [`ConfigEvaluator::evaluate_genome`].
     ///
     /// # Errors
     ///
@@ -103,19 +102,9 @@ impl ConfigEvaluator for Evaluator {
         genome: &Genome,
     ) -> Result<(Arc<MappingConfig>, Arc<EvaluationResult>), OptimError> {
         let config = genome.decode(Evaluator::network(self), Evaluator::platform(self))?;
-        let result = self.evaluate(&config)?;
-        Ok((Arc::new(config), Arc::new(result)))
-    }
-
-    fn evaluate_genome_fast(
-        &self,
-        genome: &Genome,
-    ) -> Result<(Arc<MappingConfig>, Arc<EvaluationResult>), OptimError> {
-        let config = genome.decode(Evaluator::network(self), Evaluator::platform(self))?;
         // Bit-identical to `evaluate` (property-tested in `mnc_core`'s
-        // fused-evaluation suite), two orders of magnitude fewer
-        // allocations; the genome's integer slot rows key the accuracy
-        // model's slice-mass memo.
+        // fused-evaluation suite); the genome's integer slot rows key the
+        // accuracy model's slice-mass memo.
         let result = self.evaluate_fused_keyed(&config, &genome.partition_row_keys())?;
         Ok((Arc::new(config), Arc::new(result)))
     }
@@ -149,13 +138,6 @@ impl<T: ConfigEvaluator + ?Sized> ConfigEvaluator for &T {
         (**self).evaluate_genome(genome)
     }
 
-    fn evaluate_genome_fast(
-        &self,
-        genome: &Genome,
-    ) -> Result<(Arc<MappingConfig>, Arc<EvaluationResult>), OptimError> {
-        (**self).evaluate_genome_fast(genome)
-    }
-
     fn evaluate_genome_reference(
         &self,
         genome: &Genome,
@@ -182,7 +164,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_hook_is_bit_identical_to_plain() {
+    fn hook_is_bit_identical_to_reference() {
         let evaluator = evaluator();
         let mut rng = StdRng::seed_from_u64(77);
         for _ in 0..8 {
@@ -191,13 +173,14 @@ mod tests {
                 ConfigEvaluator::platform(&evaluator),
                 &mut rng,
             );
-            let (plain_config, plain_result) = evaluator.evaluate_genome(&genome).unwrap();
-            let (fast_config, fast_result) = evaluator.evaluate_genome_fast(&genome).unwrap();
-            assert_eq!(*plain_config, *fast_config);
-            assert_eq!(*plain_result, *fast_result);
+            let (reference_config, reference_result) =
+                evaluator.evaluate_genome_reference(&genome).unwrap();
+            let (config, result) = evaluator.evaluate_genome(&genome).unwrap();
+            assert_eq!(*reference_config, *config);
+            assert_eq!(*reference_result, *result);
             assert_eq!(
-                plain_result.objective.to_bits(),
-                fast_result.objective.to_bits()
+                reference_result.objective.to_bits(),
+                result.objective.to_bits()
             );
         }
     }

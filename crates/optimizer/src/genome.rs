@@ -153,31 +153,6 @@ impl Genome {
         &self.dvfs
     }
 
-    /// A copy of this genome with replacement mapping/DVFS genes and
-    /// untouched structure (partition + indicator) genes — the shape of
-    /// candidate a mapping/DVFS local search explores around a fixed
-    /// partitioning. The copy shares the original's
-    /// [`Genome::structure_fingerprint`], so the runtime's transform cache
-    /// serves every such variant from one dynamic transformation.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `mapping` is not a permutation of the stage
-    /// indices or a DVFS gene is out of range.
-    pub fn remapped(&self, mapping: Vec<usize>, dvfs: Vec<u8>) -> Result<Genome, OptimError> {
-        let candidate = Genome {
-            mapping,
-            dvfs,
-            ..self.clone()
-        };
-        if !candidate.is_valid() {
-            return Err(OptimError::InvalidConfig {
-                reason: "remapped genome violates the mapping/DVFS invariants".to_string(),
-            });
-        }
-        Ok(candidate)
-    }
-
     /// Mutable access for the mutation operators (crate-internal).
     pub(crate) fn parts_mut(&mut self) -> GenomePartsMut<'_> {
         (
@@ -492,25 +467,8 @@ impl Genome {
         hasher.finish()
     }
 
-    /// A stable 64-bit fingerprint of the *structure* genes only —
-    /// partition slots and forwarding indicators, the two gene groups that
-    /// determine the dynamic transformation ([`mnc_dynamic`'s
-    /// `DynamicNetwork::transform`] is a pure function of them and the
-    /// network).
-    ///
-    /// Genomes that differ only in mapping or DVFS genes share a structure
-    /// fingerprint, which keys the runtime's transform-memoisation cache:
-    /// one transform serves every (mapping, DVFS) variation of the same
-    /// partition/indicator pair.
-    pub fn structure_fingerprint(&self) -> u64 {
-        let mut hasher = mnc_core::StableHasher::new();
-        self.structure_into(&mut hasher);
-        hasher.finish()
-    }
-
     /// Feeds the structure genes (everything except mapping and DVFS)
-    /// into `hasher`; shared prefix of [`Genome::fingerprint`] and
-    /// [`Genome::structure_fingerprint`].
+    /// into `hasher`; the prefix of [`Genome::fingerprint`].
     ///
     /// This sits on the search's hot path (once per scheduled candidate),
     /// so the encoding is compact: indicator bits are packed into `u64`
@@ -654,58 +612,33 @@ mod tests {
     }
 
     #[test]
-    fn structure_fingerprint_ignores_mapping_and_dvfs() {
+    fn fingerprint_covers_mapping_and_dvfs_genes() {
+        // The fingerprint keys the runtime's evaluation cache, so genomes
+        // differing only in mapping or DVFS genes must not collide.
         let (net, platform, mut rng) = setup();
         let base = Genome::random(&net, &platform, &mut rng);
-        let mut shuffled = base.clone();
+        let mut remapped = base.clone();
+        remapped.parts_mut().2.reverse();
+        assert_ne!(base.fingerprint(), remapped.fingerprint());
+        let mut retuned = base.clone();
         {
-            let (_, _, mapping, dvfs) = shuffled.parts_mut();
-            mapping.reverse();
-            dvfs[0] = dvfs[0].wrapping_add(1) % DVFS_RESOLUTION;
+            let dvfs = retuned.parts_mut().3;
+            dvfs[0] = (dvfs[0] + 1) % DVFS_RESOLUTION;
         }
-        // Different full fingerprints (different mapping/DVFS genes)...
-        assert_ne!(base.fingerprint(), shuffled.fingerprint());
-        // ...but the same transform-relevant structure.
-        assert_eq!(
-            base.structure_fingerprint(),
-            shuffled.structure_fingerprint()
-        );
-
-        let mut repartitioned = base.clone();
-        {
-            let (slots, _, _, _) = repartitioned.parts_mut();
-            if slots[0][0] > 0 {
-                slots[0][0] -= 1;
-                slots[0][1] += 1;
-            } else {
-                slots[0][1] -= 1;
-                slots[0][0] += 1;
-            }
-        }
-        assert_ne!(
-            base.structure_fingerprint(),
-            repartitioned.structure_fingerprint()
-        );
+        assert_ne!(base.fingerprint(), retuned.fingerprint());
     }
 
     #[test]
-    fn remapped_preserves_structure_and_validates() {
+    fn is_valid_rejects_bad_mapping_and_dvfs_genes() {
         let (net, platform, mut rng) = setup();
         let base = Genome::random(&net, &platform, &mut rng);
-        let mut mapping = base.mapping_genes().to_vec();
-        mapping.reverse();
-        let variant = base.remapped(mapping, base.dvfs_genes().to_vec()).unwrap();
-        assert!(variant.is_valid());
-        assert_eq!(
-            base.structure_fingerprint(),
-            variant.structure_fingerprint()
-        );
-        assert!(base
-            .remapped(vec![0, 0], base.dvfs_genes().to_vec())
-            .is_err());
-        assert!(base
-            .remapped(base.mapping_genes().to_vec(), vec![255, 255])
-            .is_err());
+        assert!(base.is_valid());
+        let mut duplicated = base.clone();
+        duplicated.parts_mut().2.fill(0);
+        assert!(!duplicated.is_valid());
+        let mut out_of_range = base.clone();
+        out_of_range.parts_mut().3[1] = DVFS_RESOLUTION;
+        assert!(!out_of_range.is_valid());
     }
 
     #[test]

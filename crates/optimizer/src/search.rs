@@ -13,7 +13,7 @@
 //!   genome) and collision-safe (the memoised genome is compared for
 //!   equality before a fingerprint match is honoured).
 //! * **fused fresh evaluations** — first occurrences go through
-//!   [`ConfigEvaluator::evaluate_genome_fast`], which for a plain
+//!   [`ConfigEvaluator::evaluate_genome`], which for a plain
 //!   [`mnc_core::Evaluator`] runs the allocation-light fused pipeline
 //!   (`SliceGrid` instead of a materialised `DynamicNetwork` per
 //!   candidate).
@@ -23,11 +23,11 @@
 //!
 //! [`MappingSearch::run_reference`] retains the pre-fast-path loop —
 //! every candidate evaluated afresh through
-//! [`ConfigEvaluator::evaluate_genome`] and archived as an independent
-//! deep copy — as the oracle the memoized loop is property-tested
-//! against (`run` and `run_reference` produce bit-identical archives for
-//! any seed and thread count) and as the baseline of the
-//! `search_fastpath` benchmark.
+//! [`ConfigEvaluator::evaluate_genome_reference`] and archived as an
+//! independent deep copy — as the oracle the memoized loop is
+//! property-tested against (`run` and `run_reference` produce
+//! bit-identical archives for any seed and thread count) and as the
+//! baseline of the `search_fastpath` benchmark.
 
 use crate::error::OptimError;
 use crate::evaluate::ConfigEvaluator;
@@ -424,30 +424,50 @@ impl SearchOutcome {
             .min_by(|a, b| a.result.objective.total_cmp(&b.result.objective))
     }
 
-    /// The paper's "Ours-E" pick: the lowest-energy Pareto configuration
-    /// whose accuracy drop does not exceed `max_accuracy_drop`.
+    /// The paper's "Ours-E" pick: the lowest-energy feasible
+    /// configuration whose accuracy drop does not exceed
+    /// `max_accuracy_drop` (ties broken by latency).
+    ///
+    /// The drop budget filters the feasible set *before* the minimum is
+    /// taken: a configuration within budget may be dominated on the 2-D
+    /// energy/latency [`SearchOutcome::pareto_front`] only by
+    /// configurations outside it, and must still be pickable.
     pub fn energy_oriented(&self, max_accuracy_drop: f64) -> Option<&EvaluatedConfig> {
-        self.pareto_front()
-            .into_iter()
-            .filter(|c| c.result.accuracy_drop <= max_accuracy_drop + 1e-9)
-            .min_by(|a, b| {
-                a.result
-                    .average_energy_mj
-                    .total_cmp(&b.result.average_energy_mj)
-            })
+        self.within_drop(max_accuracy_drop).min_by(|a, b| {
+            a.result
+                .average_energy_mj
+                .total_cmp(&b.result.average_energy_mj)
+                .then_with(|| {
+                    a.result
+                        .average_latency_ms
+                        .total_cmp(&b.result.average_latency_ms)
+                })
+        })
     }
 
-    /// The paper's "Ours-L" pick: the lowest-latency Pareto configuration
-    /// whose accuracy drop does not exceed `max_accuracy_drop`.
+    /// The paper's "Ours-L" pick: the lowest-latency feasible
+    /// configuration whose accuracy drop does not exceed
+    /// `max_accuracy_drop` (ties broken by energy; see
+    /// [`SearchOutcome::energy_oriented`] for why the budget filters
+    /// first).
     pub fn latency_oriented(&self, max_accuracy_drop: f64) -> Option<&EvaluatedConfig> {
-        self.pareto_front()
+        self.within_drop(max_accuracy_drop).min_by(|a, b| {
+            a.result
+                .average_latency_ms
+                .total_cmp(&b.result.average_latency_ms)
+                .then_with(|| {
+                    a.result
+                        .average_energy_mj
+                        .total_cmp(&b.result.average_energy_mj)
+                })
+        })
+    }
+
+    /// Feasible configurations whose accuracy drop is within the budget.
+    fn within_drop(&self, max_accuracy_drop: f64) -> impl Iterator<Item = &EvaluatedConfig> {
+        self.feasible()
             .into_iter()
-            .filter(|c| c.result.accuracy_drop <= max_accuracy_drop + 1e-9)
-            .min_by(|a, b| {
-                a.result
-                    .average_latency_ms
-                    .total_cmp(&b.result.average_latency_ms)
-            })
+            .filter(move |c| c.result.accuracy_drop <= max_accuracy_drop + 1e-9)
     }
 }
 
@@ -649,9 +669,9 @@ impl<'a, E: ConfigEvaluator> MappingSearch<'a, E> {
 
     /// Runs the search through the pre-fast-path loop: every scheduled
     /// candidate is evaluated afresh through
-    /// [`ConfigEvaluator::evaluate_genome`] (no within-run memo, no
-    /// transform sharing) and archived as an independent deep copy, the
-    /// way the loop behaved before the search fast path. Retained as the
+    /// [`ConfigEvaluator::evaluate_genome_reference`] (no within-run
+    /// memo) and archived as an independent deep copy, the way the loop
+    /// behaved before the search fast path. Retained as the
     /// property-test oracle and the `search_fastpath` benchmark baseline.
     ///
     /// # Errors
@@ -1135,9 +1155,10 @@ impl<'a, E: ConfigEvaluator> MappingSearch<'a, E> {
     }
 
     /// Evaluates one generation the pre-fast-path way: every candidate
-    /// through [`ConfigEvaluator::evaluate_genome`] (decode + full
-    /// transform), no memo, and an independent genome copy per evaluated
-    /// record — the allocation behaviour of the pre-fast-path loop.
+    /// through [`ConfigEvaluator::evaluate_genome_reference`] (decode +
+    /// full transform), no memo, and an independent genome copy per
+    /// evaluated record — the allocation behaviour of the pre-fast-path
+    /// loop.
     fn evaluate_generation_reference(
         &self,
         candidates: &[Arc<Genome>],
@@ -1164,7 +1185,7 @@ impl<'a, E: ConfigEvaluator> MappingSearch<'a, E> {
         })
     }
 
-    /// Evaluates `indices` into `candidates` through the fast evaluation
+    /// Evaluates `indices` into `candidates` through the evaluation
     /// hook, optionally across threads. The parallel path maps through a
     /// rayon-style ordered parallel iterator: results come back in index
     /// order and the evaluation hook is pure, so the outcome is
@@ -1178,13 +1199,13 @@ impl<'a, E: ConfigEvaluator> MappingSearch<'a, E> {
         let (Some(pool), true) = (pool, indices.len() >= 4) else {
             return indices
                 .iter()
-                .map(|&i| self.evaluator.evaluate_genome_fast(&candidates[i]))
+                .map(|&i| self.evaluator.evaluate_genome(&candidates[i]))
                 .collect();
         };
         pool.install(|| {
             indices
                 .par_iter()
-                .map(|&i| self.evaluator.evaluate_genome_fast(&candidates[i]))
+                .map(|&i| self.evaluator.evaluate_genome(&candidates[i]))
                 .collect::<Result<Vec<_>, OptimError>>()
         })
     }
@@ -1395,6 +1416,56 @@ mod tests {
             outcome.evaluations()
         );
         assert_eq!(outcome.warm_start_seeds(), 0);
+    }
+
+    #[test]
+    fn oriented_picks_filter_by_drop_before_minimising() {
+        // Three feasible points (energy, latency, drop): `a` dominates
+        // `b` on energy/latency but is over a 5% drop budget, so `b`
+        // is the constrained optimum while the 2-D front holds only `a`.
+        let evaluator = evaluator(Constraints::default());
+        let genome = Arc::new(Genome::random(
+            evaluator.network(),
+            evaluator.platform(),
+            &mut StdRng::seed_from_u64(3),
+        ));
+        let (config, template) = evaluator.evaluate_genome(&genome).unwrap();
+        let point = |energy: f64, latency: f64, drop: f64| {
+            let mut result = (*template).clone();
+            result.feasible = true;
+            result.average_energy_mj = energy;
+            result.average_latency_ms = latency;
+            result.accuracy_drop = drop;
+            EvaluatedConfig {
+                genome: Arc::clone(&genome),
+                config: Arc::clone(&config),
+                result: Arc::new(result),
+                generation: 0,
+            }
+        };
+        let outcome = SearchOutcome {
+            archive: vec![
+                point(1.0, 1.0, 0.09),
+                point(2.0, 3.0, 0.03),
+                point(3.0, 2.0, 0.04),
+            ],
+            generations_run: 1,
+            early_stopped: false,
+            partial: false,
+            evaluations_performed: 3,
+            memo_hits: 0,
+            warm_start_seeds: 0,
+        };
+        assert_eq!(outcome.pareto_front().len(), 1);
+        let energy = outcome.energy_oriented(0.05).expect("b is within budget");
+        assert_eq!(energy.result.average_energy_mj, 2.0);
+        let latency = outcome.latency_oriented(0.05).expect("c is within budget");
+        assert_eq!(latency.result.average_latency_ms, 2.0);
+        assert!(outcome.energy_oriented(0.01).is_none());
+        assert_eq!(
+            outcome.energy_oriented(0.10).unwrap().result.accuracy_drop,
+            0.09
+        );
     }
 
     #[test]

@@ -21,15 +21,13 @@
 //! owner's result — one evaluation instead of N.
 
 use crate::cache::{ComputeLease, EvalCache};
-use mnc_core::{CoreError, EvaluationResult, Evaluator, MappingConfig};
-use mnc_dynamic::DynamicNetwork;
+use mnc_core::{EvaluationResult, Evaluator, MappingConfig};
 use mnc_mpsoc::Platform;
 use mnc_nn::Network;
 use mnc_optim::{ConfigEvaluator, Genome, OptimError};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// One wrapper's cache traffic, read as a unit — what the pipeline's
 /// ArchiveFeedback stage folds into `RequestStats` so per-request
@@ -53,56 +51,6 @@ impl CacheTraffic {
     }
 }
 
-/// Capacity of the per-evaluator transform cache. A generation holds far
-/// fewer distinct (partition, indicator) structures than genomes — the
-/// mapping/DVFS operators leave the structure untouched — so a small LRU
-/// captures most of the reuse without holding whole populations of
-/// transformed networks alive.
-const TRANSFORM_CACHE_CAPACITY: usize = 128;
-
-/// LRU map from a genome's structure fingerprint to its (shared) dynamic
-/// transformation. `DynamicNetwork::transform` is a pure function of the
-/// network and the structure genes, so genomes differing only in mapping
-/// or DVFS genes reuse one transform.
-#[derive(Debug)]
-struct TransformCache {
-    entries: HashMap<u64, (Arc<DynamicNetwork>, u64)>,
-    tick: u64,
-}
-
-impl TransformCache {
-    fn new() -> Self {
-        TransformCache {
-            entries: HashMap::new(),
-            tick: 0,
-        }
-    }
-
-    fn get(&mut self, key: u64) -> Option<Arc<DynamicNetwork>> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.entries.get_mut(&key).map(|(dynamic, last_used)| {
-            *last_used = tick;
-            Arc::clone(dynamic)
-        })
-    }
-
-    fn insert(&mut self, key: u64, dynamic: Arc<DynamicNetwork>) {
-        if self.entries.len() >= TRANSFORM_CACHE_CAPACITY && !self.entries.contains_key(&key) {
-            if let Some(oldest) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, (_, last_used))| *last_used)
-                .map(|(key, _)| *key)
-            {
-                self.entries.remove(&oldest);
-            }
-        }
-        self.tick += 1;
-        self.entries.insert(key, (dynamic, self.tick));
-    }
-}
-
 /// An [`Evaluator`] with a shared evaluation cache in front.
 ///
 /// Also keeps its own hit/miss counters, so a caller serving one request
@@ -113,12 +61,9 @@ pub struct CachedEvaluator {
     evaluator: Arc<Evaluator>,
     cache: Arc<EvalCache>,
     evaluator_fingerprint: u64,
-    transforms: Mutex<TransformCache>,
     hits: AtomicU64,
     misses: AtomicU64,
     coalesced: AtomicU64,
-    transform_hits: AtomicU64,
-    transform_misses: AtomicU64,
 }
 
 impl CachedEvaluator {
@@ -140,12 +85,9 @@ impl CachedEvaluator {
             evaluator,
             cache,
             evaluator_fingerprint,
-            transforms: Mutex::new(TransformCache::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
-            transform_hits: AtomicU64::new(0),
-            transform_misses: AtomicU64::new(0),
         }
     }
 
@@ -196,67 +138,6 @@ impl CachedEvaluator {
     pub fn key_for(&self, genome: &Genome) -> u128 {
         EvalCache::key(self.evaluator_fingerprint, genome.fingerprint())
     }
-
-    /// Transform-cache hits: evaluations that reused a memoised dynamic
-    /// transformation instead of re-deriving it from the structure genes.
-    pub fn transform_hits(&self) -> u64 {
-        self.transform_hits.load(Ordering::Relaxed)
-    }
-
-    /// Transform-cache misses (fresh `DynamicNetwork::transform` runs).
-    pub fn transform_misses(&self) -> u64 {
-        self.transform_misses.load(Ordering::Relaxed)
-    }
-
-    /// The dynamic transformation for one structure fingerprint, served
-    /// from the per-evaluator LRU when an equal structure was transformed
-    /// before.
-    ///
-    /// A hit is collision-safe, matching the stance the batch scheduler
-    /// takes for request grouping: the cached [`DynamicNetwork`] carries
-    /// the partition/indicator it was derived from, and a fingerprint
-    /// match is only honoured when those equal the requesting config's —
-    /// a 64-bit collision between different structures falls through to a
-    /// fresh transform instead of silently evaluating the wrong network.
-    ///
-    /// The lock is not held across the transform itself, so two threads
-    /// racing on the *same* new structure may both compute it — a benign
-    /// duplication (the transform is pure, and the second insert simply
-    /// replaces the first with an equal value); threads working on
-    /// *different* structures never serialise behind each other's
-    /// transforms.
-    fn transformed(
-        &self,
-        structure: u64,
-        config: &MappingConfig,
-    ) -> Result<Arc<DynamicNetwork>, OptimError> {
-        if let Some(dynamic) = self
-            .transforms
-            .lock()
-            .expect("transform cache lock poisoned")
-            .get(structure)
-        {
-            if dynamic.partition() == &config.partition && dynamic.indicator() == &config.indicator
-            {
-                self.transform_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(dynamic);
-            }
-        }
-        let dynamic = Arc::new(
-            DynamicNetwork::transform(
-                self.evaluator.network(),
-                &config.partition,
-                &config.indicator,
-            )
-            .map_err(CoreError::Dynamic)?,
-        );
-        self.transform_misses.fetch_add(1, Ordering::Relaxed);
-        self.transforms
-            .lock()
-            .expect("transform cache lock poisoned")
-            .insert(structure, Arc::clone(&dynamic));
-        Ok(dynamic)
-    }
 }
 
 impl ConfigEvaluator for CachedEvaluator {
@@ -288,14 +169,7 @@ impl ConfigEvaluator for CachedEvaluator {
             ComputeLease::Owner(guard) => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 crate::faults::eval_tick();
-                let config = genome.decode(self.evaluator.network(), self.evaluator.platform())?;
-                // Genomes differing only in mapping/DVFS genes share a
-                // (partition, indicator) pair: reuse its transform and go
-                // straight to `evaluate_transformed`.
-                let dynamic = self.transformed(genome.structure_fingerprint(), &config)?;
-                let result = self.evaluator.evaluate_transformed(&dynamic, &config)?;
-                let config = Arc::new(config);
-                let result = Arc::new(result);
+                let (config, result) = ConfigEvaluator::evaluate_genome(&*self.evaluator, genome)?;
                 // The cache holds the same `Arc`s the caller receives —
                 // cloning an entry out is two reference-count bumps.
                 self.cache
@@ -303,46 +177,6 @@ impl ConfigEvaluator for CachedEvaluator {
                 // Release only after the insert so woken waiters find the
                 // entry; on the `?` error paths above the guard's drop
                 // hands the key to the next waiter instead.
-                drop(guard);
-                Ok((config, result))
-            }
-        }
-    }
-
-    fn evaluate_genome_fast(
-        &self,
-        genome: &Genome,
-    ) -> Result<(Arc<MappingConfig>, Arc<EvaluationResult>), OptimError> {
-        let key = self.key_for(genome);
-        if let Some(entry) = self.cache.get(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(entry);
-        }
-        match self.cache.begin_compute(key) {
-            ComputeLease::Ready(entry) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.coalesced.fetch_add(1, Ordering::Relaxed);
-                Ok(*entry)
-            }
-            ComputeLease::Owner(guard) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                crate::faults::eval_tick();
-                let config = genome.decode(self.evaluator.network(), self.evaluator.platform())?;
-                // The search-loop hook: a GA population practically never
-                // repeats a structure, so the transform LRU cannot pay for
-                // itself here — evaluate through the fused pipeline
-                // (bit-identical, no materialised `DynamicNetwork`)
-                // instead, with the genome's slot rows keying the accuracy
-                // model's slice-mass memo. The plain hook above keeps the
-                // LRU for workloads that *do* share structures
-                // (mapping/DVFS variants of one partitioning).
-                let result = self
-                    .evaluator
-                    .evaluate_fused_keyed(&config, &genome.partition_row_keys())?;
-                let config = Arc::new(config);
-                let result = Arc::new(result);
-                self.cache
-                    .insert(key, Arc::clone(&config), Arc::clone(&result));
                 drop(guard);
                 Ok((config, result))
             }
@@ -419,40 +253,6 @@ mod tests {
             }
         );
         assert!(traffic.coalesced <= traffic.hits);
-    }
-
-    #[test]
-    fn shared_structure_genomes_reuse_one_transform() {
-        let cached = cached(300);
-        let mut rng = StdRng::seed_from_u64(11);
-        let base = Genome::random(cached.network(), cached.platform(), &mut rng);
-
-        // Variants that only permute the mapping / shift DVFS share the
-        // base genome's structure fingerprint.
-        let mut mapping: Vec<usize> = base.mapping_genes().to_vec();
-        mapping.reverse();
-        let dvfs: Vec<u8> = base
-            .dvfs_genes()
-            .iter()
-            .map(|level| (level + 1) % mnc_optim::genome::DVFS_RESOLUTION)
-            .collect();
-        let variant = base.remapped(mapping, dvfs).unwrap();
-        assert_eq!(
-            base.structure_fingerprint(),
-            variant.structure_fingerprint()
-        );
-        assert_ne!(base.fingerprint(), variant.fingerprint());
-
-        let (config_a, result_a) = cached.evaluate_genome(&base).unwrap();
-        let (_, _) = cached.evaluate_genome(&variant).unwrap();
-        assert_eq!(cached.transform_misses(), 1);
-        assert_eq!(cached.transform_hits(), 1);
-
-        // The memoised transform changes nothing: a fresh evaluator
-        // produces the same result for the base genome.
-        let fresh = cached.evaluator().evaluate(&config_a).unwrap();
-        assert_eq!(fresh, *result_a);
-        assert_eq!(fresh.objective.to_bits(), result_a.objective.to_bits());
     }
 
     #[test]

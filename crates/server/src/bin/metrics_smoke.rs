@@ -22,7 +22,7 @@
 //! ```
 
 use mnc_runtime::{find_sample, parse_prometheus, MappingRequest};
-use mnc_server::{spawn_on_ephemeral_port, RequestLimits, WireClient};
+use mnc_server::{spawn_reactor_on_ephemeral_port, RequestLimits, WireClient};
 use mnc_wire::WireBatch;
 use serde::Serialize;
 
@@ -150,7 +150,7 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .cloned();
 
-    let handle = spawn_on_ephemeral_port(None, RequestLimits::default())
+    let handle = spawn_reactor_on_ephemeral_port(None, RequestLimits::default())
         .expect("server boots on an ephemeral port");
     let addr = handle.addr();
     println!("metrics_smoke: server on {addr}");

@@ -7,7 +7,7 @@
 //!            [--max-connections N] [--queue-depth N]
 //!            [--inflight-per-conn N] [--workers N]
 //!            [--search-timeout-ms N] [--tenant-config FILE]
-//!            [--drain-deadline-ms N] [--legacy-blocking]
+//!            [--drain-deadline-ms N]
 //! mnc-server --metrics [HOST:PORT]       # scrape a running server (Prometheus text)
 //! mnc-server --metrics-json [HOST:PORT]  # scrape a running server (JSON snapshot)
 //! ```
@@ -19,8 +19,8 @@
 //! snapshot in that directory is loaded at startup and rewritten on every
 //! wire `Persist` command, so warm-start knowledge survives restarts.
 //!
-//! By default the event-driven reactor front-end serves the socket:
-//! one reactor thread multiplexes every connection, answers fast-path
+//! The event-driven reactor front-end serves the socket: one reactor
+//! thread multiplexes every connection, answers fast-path
 //! requests (response-cache hits, structured rejections) inline and
 //! hands searches to a bounded worker pool, shedding overload as
 //! structured `Overloaded` errors per the admission-control flags.
@@ -31,16 +31,13 @@
 //! per-tenant QoS policies (weighted-fair scheduling weight, priority
 //! ceiling, evaluation token-bucket budget) for requests carrying a
 //! `tenant` field — see `TenantPolicyTable::from_json` for the schema.
-//! `--legacy-blocking` selects the original thread-per-connection
-//! server instead (same wire semantics, no admission control and no
-//! tenant QoS).
 //!
 //! `--metrics`/`--metrics-json` turn the binary into a one-shot client:
 //! it connects to the given address (default `127.0.0.1:7477`), issues
 //! the wire `Metrics` command and prints the exposition to stdout — the
 //! scrape path for cron jobs and Prometheus textfile collectors.
 
-use mnc_server::{ReactorConfig, ReactorServer, RequestLimits, Server, ServerConfig, WireClient};
+use mnc_server::{ReactorConfig, ReactorServer, RequestLimits, ServerConfig, WireClient};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -49,7 +46,7 @@ const USAGE: &str = "usage: mnc-server [--addr HOST:PORT] [--archive-dir DIR] \
                      [--trace-capacity N] [--slow-threshold-micros N] \
                      [--max-connections N] [--queue-depth N] [--inflight-per-conn N] \
                      [--workers N] [--search-timeout-ms N] [--tenant-config FILE] \
-                     [--drain-deadline-ms N] [--legacy-blocking] | \
+                     [--drain-deadline-ms N] | \
                      mnc-server --metrics|--metrics-json [HOST:PORT]";
 
 /// What kind of one-shot metrics scrape was requested, if any.
@@ -66,7 +63,6 @@ struct Args {
     metrics: Option<MetricsMode>,
     reactor: ReactorConfig,
     drain_deadline_ms: u64,
-    legacy_blocking: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -78,7 +74,6 @@ fn parse_args() -> Result<Args, String> {
         metrics: None,
         reactor: ReactorConfig::default(),
         drain_deadline_ms: mnc_server::DEFAULT_DRAIN_DEADLINE_MS,
-        legacy_blocking: false,
     };
     let mut iter = std::env::args().skip(1).peekable();
     while let Some(flag) = iter.next() {
@@ -155,7 +150,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--drain-deadline-ms: {e}"))?;
             }
-            "--legacy-blocking" => args.legacy_blocking = true,
             "--metrics" | "--metrics-json" => {
                 args.metrics = Some(if flag == "--metrics" {
                     MetricsMode::Prometheus
@@ -230,49 +224,10 @@ fn main() -> ExitCode {
         telemetry: args.telemetry,
         drain_deadline_ms: args.drain_deadline_ms,
     };
-    if args.legacy_blocking {
-        run_blocking(config)
-    } else {
-        run_reactor(config, args.reactor)
-    }
+    run_reactor(config, args.reactor)
 }
 
-/// Serves with the original thread-per-connection front-end.
-fn run_blocking(config: ServerConfig) -> ExitCode {
-    let server = match Server::bind(config) {
-        Ok(server) => server,
-        Err(e) => {
-            eprintln!("startup failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let addr = match server.local_addr() {
-        Ok(addr) => addr,
-        Err(e) => {
-            eprintln!("startup failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if server.archive_loaded() > 0 {
-        println!(
-            "loaded {} archived elite genomes for warm starts",
-            server.archive_loaded()
-        );
-    }
-    println!("mnc-server listening on {addr}");
-    match server.run() {
-        Ok(()) => {
-            println!("mnc-server stopped");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("server failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Serves with the event-driven reactor front-end (the default).
+/// Serves with the event-driven reactor front-end.
 fn run_reactor(config: ServerConfig, reactor: ReactorConfig) -> ExitCode {
     let server = match ReactorServer::bind(config, reactor) {
         Ok(server) => server,

@@ -1,9 +1,8 @@
-//! CI round-trip smoke for the wire front-ends.
+//! CI round-trip smoke for the wire front-end.
 //!
-//! Runs one shared assertion suite against **both** servers — the
-//! legacy blocking `Server` and the event-driven `ReactorServer` — on
-//! ephemeral ports, drives them with the `WireClient`, and asserts —
-//! exiting non-zero on any violation:
+//! Runs the assertion suite against the `ReactorServer` on ephemeral
+//! ports, drives it with the `WireClient`, and asserts — exiting
+//! non-zero on any violation:
 //!
 //! 1. a wire `Submit` returns a Pareto front **bit-identical** to
 //!    in-process `MappingService::submit` for the same request;
@@ -25,8 +24,7 @@
 //! ```
 
 use mnc_runtime::{MappingRequest, MappingService};
-use mnc_server::reactor::spawn_reactor_on_ephemeral_port;
-use mnc_server::{spawn_on_ephemeral_port, ReactorHandle, RequestLimits, ServerHandle, WireClient};
+use mnc_server::{spawn_reactor_on_ephemeral_port, ReactorHandle, RequestLimits, WireClient};
 use mnc_wire::frame;
 use mnc_wire::{ErrorCode, WireBatch, WireResult};
 use serde::Serialize;
@@ -50,63 +48,9 @@ struct SmokeReport {
     fast_path_answered: u64,
 }
 
-/// Which front-end a suite run talks to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ServerKind {
-    Blocking,
-    Reactor,
-}
-
-impl ServerKind {
-    fn label(self) -> &'static str {
-        match self {
-            ServerKind::Blocking => "blocking",
-            ServerKind::Reactor => "reactor",
-        }
-    }
-}
-
-/// A spawned server of either kind — the suite only needs an address
-/// and a join.
-enum Handle {
-    Blocking(ServerHandle),
-    Reactor(ReactorHandle),
-}
-
-impl Handle {
-    fn addr(&self) -> std::net::SocketAddr {
-        match self {
-            Handle::Blocking(handle) => handle.addr(),
-            Handle::Reactor(handle) => handle.addr(),
-        }
-    }
-
-    fn join(self) {
-        match self {
-            Handle::Blocking(handle) => {
-                handle.join().expect("server stopped cleanly");
-            }
-            Handle::Reactor(handle) => {
-                handle.join().expect("reactor stopped cleanly");
-            }
-        }
-    }
-}
-
-fn spawn(kind: ServerKind, archive_dir: &Path) -> Handle {
-    match kind {
-        ServerKind::Blocking => Handle::Blocking(
-            spawn_on_ephemeral_port(Some(archive_dir.to_path_buf()), RequestLimits::default())
-                .expect("blocking server boots on an ephemeral port"),
-        ),
-        ServerKind::Reactor => Handle::Reactor(
-            spawn_reactor_on_ephemeral_port(
-                Some(archive_dir.to_path_buf()),
-                RequestLimits::default(),
-            )
-            .expect("reactor server boots on an ephemeral port"),
-        ),
-    }
+fn spawn(archive_dir: &Path) -> ReactorHandle {
+    spawn_reactor_on_ephemeral_port(Some(archive_dir.to_path_buf()), RequestLimits::default())
+        .expect("reactor server boots on an ephemeral port")
 }
 
 /// What one full suite run measured (consumed by the JSON report).
@@ -165,18 +109,15 @@ fn raw_exchange(addr: std::net::SocketAddr, payload: &str) -> mnc_wire::WireResp
     mnc_wire::decode_response(&text).expect("decode raw response")
 }
 
-/// The shared suite: every assertion runs identically against both
-/// front-ends, so the reactor cannot drift from the blocking reference
-/// semantics.
-fn run_suite(kind: ServerKind) -> SuiteOutcome {
-    let label = kind.label();
-    let archive_dir =
-        std::env::temp_dir().join(format!("mnc_wire_smoke_{label}_{}", std::process::id()));
+/// The suite, with in-process `MappingService::submit` as the reference
+/// for every answer.
+fn run_suite() -> SuiteOutcome {
+    let archive_dir = std::env::temp_dir().join(format!("mnc_wire_smoke_{}", std::process::id()));
     std::fs::create_dir_all(&archive_dir).expect("create archive dir");
 
-    let handle = spawn(kind, &archive_dir);
+    let handle = spawn(&archive_dir);
     let addr = handle.addr();
-    println!("wire_smoke[{label}]: server on {addr}");
+    println!("wire_smoke: server on {addr}");
     let mut client = WireClient::connect(addr).expect("client connects");
 
     // --- liveness + catalogues -------------------------------------------
@@ -197,7 +138,7 @@ fn run_suite(kind: ServerKind) -> SuiteOutcome {
         wire_response.stats.stage_micros_total() > 0.0,
         "per-stage trace crossed the wire"
     );
-    println!("wire_smoke[{label}]: round trip bit-identical to in-process submit");
+    println!("wire_smoke: round trip bit-identical to in-process submit");
 
     // --- 2. batch with duplicates coalesces and stays bit-identical ------
     let batch: Vec<MappingRequest> = vec![request(), request().seed(9), request()];
@@ -219,7 +160,7 @@ fn run_suite(kind: ServerKind) -> SuiteOutcome {
         assert_fronts_bit_identical(wire_response, &reference, "batch round trip");
     }
     println!(
-        "wire_smoke[{label}]: batch of {} ({} coalesced) bit-identical to in-process",
+        "wire_smoke: batch of {} ({} coalesced) bit-identical to in-process",
         report.stats.requests, report.stats.coalesced_requests
     );
 
@@ -290,7 +231,7 @@ fn run_suite(kind: ServerKind) -> SuiteOutcome {
     client
         .ping()
         .expect("connection survived the error gauntlet");
-    println!("wire_smoke[{label}]: {error_paths} error paths answered structurally");
+    println!("wire_smoke: {error_paths} error paths answered structurally");
 
     // --- 4. warm-start persistence across a restart ----------------------
     // Fill the archive (the submits above already did), persist, then run
@@ -361,16 +302,16 @@ fn run_suite(kind: ServerKind) -> SuiteOutcome {
     let reparsed: mnc_runtime::PipelineStats =
         serde_json::from_str(&pipeline_json).expect("pipeline stats re-parse");
     assert_eq!(reparsed.searches_run, searches_run);
-    println!("wire_smoke[{label}]: derived pipeline stats kept the wire schema");
+    println!("wire_smoke: derived pipeline stats kept the wire schema");
 
     client.shutdown().expect("shutdown");
-    handle.join();
+    handle.join().expect("reactor stopped cleanly");
 
     // Restart into the same archive dir: the loaded archive equals the
     // persisted one (persist ran before the warm request, and `record`
     // on restore replays the snapshot verbatim), so the first warm
     // request after the restart re-runs the identical seeded search.
-    let handle = spawn(kind, &archive_dir);
+    let handle = spawn(&archive_dir);
     let mut client = WireClient::connect(handle.addr()).expect("client reconnects");
     let warm_after = client.submit(&warm_request).expect("warm after restart");
     assert_eq!(
@@ -383,12 +324,12 @@ fn run_suite(kind: ServerKind) -> SuiteOutcome {
     );
     assert_fronts_bit_identical(&warm_after, &warm_before, "warm restart");
     println!(
-        "wire_smoke[{label}]: warm restart replayed {} evaluations for an identical front",
+        "wire_smoke: warm restart replayed {} evaluations for an identical front",
         warm_after.stats.evaluations
     );
 
     client.shutdown().expect("second shutdown");
-    handle.join();
+    handle.join().expect("reactor stopped cleanly");
     let _ = std::fs::remove_dir_all(&archive_dir);
 
     SuiteOutcome {
@@ -411,31 +352,21 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .cloned();
 
-    let blocking = run_suite(ServerKind::Blocking);
-    let reactor = run_suite(ServerKind::Reactor);
-
-    // The two front-ends answered the shared suite with identical
-    // pipeline accounting — same searches, same fast-path replays.
-    assert_eq!(blocking.searches_run, reactor.searches_run);
-    assert_eq!(blocking.fast_path_answered, reactor.fast_path_answered);
-    assert_eq!(
-        blocking.warm_evaluations_before,
-        reactor.warm_evaluations_before
-    );
+    let outcome = run_suite();
 
     if let Some(path) = json_path {
         let report = SmokeReport {
             bench: "wire_smoke".to_string(),
-            servers_checked: vec!["blocking".to_string(), "reactor".to_string()],
+            servers_checked: vec!["reactor".to_string()],
             roundtrip_bit_identical: true,
-            batch_requests: reactor.batch_requests,
-            batch_coalesced: reactor.batch_coalesced,
-            error_paths_checked: blocking.error_paths + reactor.error_paths,
-            warm_evaluations_before_restart: reactor.warm_evaluations_before,
-            warm_evaluations_after_restart: reactor.warm_evaluations_after,
-            persisted_genomes: reactor.persisted_genomes,
-            pipeline_searches_run: reactor.searches_run,
-            fast_path_answered: reactor.fast_path_answered,
+            batch_requests: outcome.batch_requests,
+            batch_coalesced: outcome.batch_coalesced,
+            error_paths_checked: outcome.error_paths,
+            warm_evaluations_before_restart: outcome.warm_evaluations_before,
+            warm_evaluations_after_restart: outcome.warm_evaluations_after,
+            persisted_genomes: outcome.persisted_genomes,
+            pipeline_searches_run: outcome.searches_run,
+            fast_path_answered: outcome.fast_path_answered,
         };
         if let Some(parent) = std::path::Path::new(&path).parent() {
             std::fs::create_dir_all(parent).expect("create results dir");
@@ -444,5 +375,5 @@ fn main() {
         std::fs::write(&path, json).expect("write report");
         println!("wire_smoke: report written to {path}");
     }
-    println!("wire_smoke: all checks passed on both servers");
+    println!("wire_smoke: all checks passed");
 }

@@ -1,25 +1,20 @@
-//! The TCP front-ends of the mapping service.
+//! The TCP front-end of the mapping service.
 //!
-//! Two servers share one command [`Dispatcher`] over the same
-//! [`mnc_runtime::MappingService`]:
+//! [`reactor::ReactorServer`] serves the wire protocol: one reactor
+//! thread multiplexes every connection through an epoll-style
+//! [`poller::Poller`] (with a portable scan fallback off Linux), answers
+//! fast-path requests (response-cache hits, structured rejections)
+//! inline, and hands searches to a bounded worker pool. Admission
+//! control ([`reactor::ReactorConfig`]) sheds overload as structured
+//! [`ErrorCode::Overloaded`] errors instead of queueing without bound.
+//! The transport-agnostic command layer is the [`Dispatcher`].
 //!
-//! * [`Server`] — the legacy blocking front-end: one thread per
-//!   connection, frames in, frames out. Simple, and still the reference
-//!   for wire semantics.
-//! * [`reactor::ReactorServer`] — the event-driven front-end: one
-//!   reactor thread multiplexes every connection through an epoll-style
-//!   [`poller::Poller`], answers fast-path requests (response-cache
-//!   hits, structured rejections) inline, and hands searches to a
-//!   bounded worker pool. Admission control ([`reactor::ReactorConfig`])
-//!   sheds overload as structured [`ErrorCode::Overloaded`] errors
-//!   instead of queueing without bound.
-//!
-//! Both drive every decoded [`mnc_wire::WireRequest`] through the *same*
+//! Every decoded [`mnc_wire::WireRequest`] runs through the *same*
 //! [`mnc_runtime::RequestPipeline`] that in-process
-//! [`MappingService::submit`] uses — a wire round-trip therefore returns
-//! a Pareto front bit-identical to the in-process answer for the same
-//! request (asserted by `tests/roundtrip.rs` and the `wire_smoke` CI
-//! binary, which runs its assertions against both servers).
+//! [`MappingService::submit`] uses, and that in-process call is the
+//! reference for wire semantics: a wire round-trip returns a Pareto front
+//! bit-identical to the in-process answer for the same request (asserted
+//! by `tests/roundtrip.rs` and the `wire_smoke` CI binary).
 //!
 //! Failure handling is structured end to end: malformed JSON, unsupported
 //! protocol versions, unknown presets, invalid requests and over-budget
@@ -28,10 +23,10 @@
 //! panic in the service surfaces as an [`ErrorCode::Internal`] error
 //! instead of tearing the connection down.
 //!
-//! Shutdown drains: both servers stop accepting, let in-flight requests
+//! Shutdown drains: the server stops accepting, lets in-flight requests
 //! finish (bounded by a configurable drain deadline), and only then
-//! force-close lingering idle connections — a `Shutdown` command racing
-//! an active batch no longer resets that batch's connection.
+//! force-closes lingering idle connections — a `Shutdown` command racing
+//! an active batch does not reset that batch's connection.
 //!
 //! With `--archive-dir` the server loads the elite archive snapshot at
 //! startup and writes it back on the wire `Persist` command, so
@@ -51,21 +46,15 @@ pub mod reactor;
 pub use client::{ClientConfig, ClientError, WireClient};
 pub use reactor::{spawn_reactor_on_ephemeral_port, ReactorConfig, ReactorHandle, ReactorServer};
 
-use mnc_runtime::{ArchiveLoad, MappingRequest, MappingService, RuntimeError, TelemetryConfig};
-use mnc_wire::frame::{self, FrameError};
+use mnc_runtime::{MappingRequest, MappingService, RuntimeError, TelemetryConfig};
 use mnc_wire::{
     decode_request, encode_response, ErrorCode, MetricsReport, PersistReport, ServiceStats,
     WireBatch, WireBatchReport, WireBody, WireError, WireOutcome, WirePayload, WireRequest,
     WireResponse, WireResult, PROTOCOL_VERSION,
 };
-use std::collections::HashMap;
-use std::io::BufReader;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
 /// File name of the elite-archive snapshot inside `--archive-dir`.
 pub const ARCHIVE_FILE_NAME: &str = "elite_archive.json";
@@ -131,7 +120,7 @@ impl RequestLimits {
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port (see
-    /// [`Server::local_addr`]).
+    /// [`ReactorServer::local_addr`]).
     pub addr: String,
     /// Directory for the elite-archive snapshot: loaded at startup when
     /// present, written by the wire `Persist` command.
@@ -197,11 +186,9 @@ impl From<RuntimeError> for ServerError {
     }
 }
 
-/// The transport-agnostic command layer shared by the blocking server
-/// and the reactor: decodes wire requests, enforces [`RequestLimits`],
-/// executes commands against one [`MappingService`], and owns archive
-/// persistence. Keeping this in one place is what guarantees the two
-/// front-ends cannot drift apart semantically.
+/// The transport-agnostic command layer behind the reactor: decodes wire
+/// requests, enforces [`RequestLimits`], executes commands against one
+/// [`MappingService`], and owns archive persistence.
 #[derive(Debug)]
 pub struct Dispatcher {
     service: Arc<MappingService>,
@@ -257,15 +244,6 @@ impl Dispatcher {
             )));
         }
         Ok(request)
-    }
-
-    /// Decodes one framed payload and dispatches it, returning the
-    /// response plus whether the server should stop.
-    pub fn respond(&self, text: &str) -> (WireResponse, bool) {
-        match Self::decode_checked(text) {
-            Ok(request) => self.dispatch_guarded(request.id, request.body),
-            Err(response) => (*response, false),
-        }
     }
 
     /// Dispatches one decoded command, converting a panic into an
@@ -450,378 +428,4 @@ pub(crate) fn encode_outcome_or_internal(outcome: &WireOutcome) -> String {
         )))
         .expect("error outcomes always serialize")
     })
-}
-
-/// Shutdown coordination shared between the accept loop, the connection
-/// handlers and [`ServerHandle`]: the stop flag, the count of requests
-/// currently executing, and the registry of live connections. Stopping
-/// waits for the in-flight requests to drain (bounded by the configured
-/// deadline), then closes every registered socket so handlers blocked in
-/// `read_frame` on idle connections wake up and the accept loop's scope
-/// can join them instead of deadlocking.
-#[derive(Debug, Default)]
-struct ServerShared {
-    shutdown: AtomicBool,
-    connections: Mutex<HashMap<u64, TcpStream>>,
-    next_connection: AtomicU64,
-    active_requests: AtomicU64,
-    drain_deadline_ms: AtomicU64,
-}
-
-impl ServerShared {
-    /// Flags shutdown, waits (up to the drain deadline) for in-flight
-    /// requests to finish, then force-closes every live connection.
-    ///
-    /// The drain is what lets a `Shutdown` command race an active batch
-    /// without resetting the batch's connection: once the flag is up no
-    /// handler starts a *new* request, and the one it is serving gets to
-    /// send its response before the socket goes away.
-    fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        let deadline =
-            Instant::now() + Duration::from_millis(self.drain_deadline_ms.load(Ordering::Relaxed));
-        while self.active_requests.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let connections = {
-            let mut registry = self
-                .connections
-                .lock()
-                .expect("connection registry lock never poisoned");
-            std::mem::take(&mut *registry)
-        };
-        for stream in connections.into_values() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-    }
-
-    fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
-    /// The one shutdown protocol: flag + drain + force-close live
-    /// connections, then poke the accept loop awake with a throwaway
-    /// connection so it observes the flag. Shared by the wire `Shutdown`
-    /// handler and [`ServerHandle::shutdown`] so the sequence cannot
-    /// drift apart.
-    fn stop(&self, addr: Option<SocketAddr>) {
-        self.begin_shutdown();
-        if let Some(addr) = addr {
-            drop(TcpStream::connect(addr));
-        }
-    }
-}
-
-/// A bound (but not yet serving) blocking wire front-end over one
-/// [`MappingService`].
-#[derive(Debug)]
-pub struct Server {
-    listener: TcpListener,
-    dispatcher: Dispatcher,
-    shared: Arc<ServerShared>,
-    /// Elite genomes loaded from the archive snapshot at startup.
-    archive_loaded: usize,
-}
-
-impl Server {
-    /// Binds the listener and, when an archive directory is configured
-    /// and holds a snapshot, loads it into the service's elite archive.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the address cannot be bound or an existing
-    /// snapshot fails to load (a *missing* snapshot is a clean cold
-    /// start, not an error).
-    pub fn bind(config: ServerConfig) -> Result<Self, ServerError> {
-        let listener = TcpListener::bind(&config.addr)?;
-        let service = Arc::new(MappingService::with_telemetry_config(config.telemetry));
-        let archive_path = config.archive_dir.map(|dir| dir.join(ARCHIVE_FILE_NAME));
-        let mut archive_loaded = 0;
-        if let Some(path) = &archive_path {
-            match service.restore_archive(path)? {
-                ArchiveLoad::Restored(genomes) => archive_loaded = genomes,
-                ArchiveLoad::Missing => {}
-                ArchiveLoad::Quarantined {
-                    quarantined_to,
-                    reason,
-                } => eprintln!(
-                    "warning: archive snapshot {} is corrupt ({reason}); \
-                     quarantined to {} and starting cold",
-                    path.display(),
-                    quarantined_to.display()
-                ),
-            }
-        }
-        let shared = Arc::new(ServerShared::default());
-        shared
-            .drain_deadline_ms
-            .store(config.drain_deadline_ms, Ordering::Relaxed);
-        Ok(Server {
-            listener,
-            dispatcher: Dispatcher::new(service, config.limits, archive_path),
-            shared,
-            archive_loaded,
-        })
-    }
-
-    /// The bound address (with the actual port when 0 was requested).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the socket is gone.
-    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
-        self.listener.local_addr()
-    }
-
-    /// The service this front-end serves (shared: in-process callers see
-    /// the same cache, archive and pipeline counters as wire clients).
-    pub fn service(&self) -> &Arc<MappingService> {
-        self.dispatcher.service()
-    }
-
-    /// Elite genomes loaded from the archive snapshot at startup.
-    pub fn archive_loaded(&self) -> usize {
-        self.archive_loaded
-    }
-
-    /// Serves connections until a wire `Shutdown` request (or
-    /// [`ServerHandle::shutdown`]) flips the stop flag. Each connection
-    /// runs on its own scoped thread; the listener thread only accepts.
-    ///
-    /// `accept` failures never kill the server: they are all transient
-    /// from the listener's point of view (`EMFILE` under fd pressure,
-    /// `EINTR`, aborted handshakes), so the loop sheds the failure,
-    /// backs off briefly to avoid spinning, and keeps serving — a load
-    /// spike must degrade into refused connections, not a permanent
-    /// outage. Only the shutdown flag ends the loop.
-    ///
-    /// # Errors
-    ///
-    /// Currently always returns `Ok` on shutdown; the `Result` is kept
-    /// so callers are ready for genuinely fatal exits.
-    pub fn run(&self) -> Result<(), ServerError> {
-        std::thread::scope(|scope| {
-            loop {
-                let (stream, _) = match self.listener.accept() {
-                    Ok(accepted) => accepted,
-                    Err(_) => {
-                        if self.shared.is_shutting_down() {
-                            return Ok(());
-                        }
-                        std::thread::sleep(std::time::Duration::from_millis(50));
-                        continue;
-                    }
-                };
-                if self.shared.is_shutting_down() {
-                    // The wake-up connection (or any racing client) after
-                    // shutdown: drop it and stop accepting. Registered
-                    // connections were drained and force-closed by
-                    // `begin_shutdown`, so the scope joins their handlers
-                    // promptly.
-                    drop(stream);
-                    return Ok(());
-                }
-                // Small framed responses; Nagle only adds delayed-ACK
-                // latency on this traffic shape.
-                let _ = stream.set_nodelay(true);
-                scope.spawn(move || self.handle_connection(stream));
-            }
-        })
-    }
-
-    /// Runs the server on a background thread, returning a handle with
-    /// the bound address — the entry point for tests, the smoke binary
-    /// and in-process demos.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the bound address cannot be read back.
-    pub fn spawn(self) -> Result<ServerHandle, ServerError> {
-        let addr = self.local_addr()?;
-        let service = Arc::clone(self.dispatcher.service());
-        let shared = Arc::clone(&self.shared);
-        let thread = std::thread::spawn(move || self.run());
-        Ok(ServerHandle {
-            addr,
-            service,
-            shared,
-            thread,
-        })
-    }
-
-    /// Flags shutdown, drains in-flight requests, force-closes lingering
-    /// connections and pokes the accept loop awake with a throwaway
-    /// connection.
-    fn request_shutdown(&self) {
-        self.shared.stop(self.local_addr().ok());
-    }
-
-    /// Serves one connection: frames in, frames out, until the client
-    /// disconnects, framing desynchronises, or shutdown is requested.
-    fn handle_connection(&self, stream: TcpStream) {
-        let Ok(read_half) = stream.try_clone() else {
-            return;
-        };
-        // Register so shutdown can interrupt a blocked read; registration
-        // is racy against an in-flight `begin_shutdown`, so re-check the
-        // flag afterwards and bail out if the server is already stopping.
-        let connection_id = self.shared.next_connection.fetch_add(1, Ordering::Relaxed);
-        if let Ok(registered) = stream.try_clone() {
-            self.shared
-                .connections
-                .lock()
-                .expect("connection registry lock never poisoned")
-                .insert(connection_id, registered);
-        }
-        if self.shared.is_shutting_down() {
-            self.unregister(connection_id);
-            return;
-        }
-        let mut reader = BufReader::new(read_half);
-        let mut writer = stream;
-        self.serve_frames(&mut reader, &mut writer);
-        self.unregister(connection_id);
-    }
-
-    /// Removes one connection from the shutdown registry.
-    fn unregister(&self, connection_id: u64) {
-        self.shared
-            .connections
-            .lock()
-            .expect("connection registry lock never poisoned")
-            .remove(&connection_id);
-    }
-
-    /// The frame loop of one registered connection.
-    fn serve_frames(&self, reader: &mut BufReader<TcpStream>, writer: &mut TcpStream) {
-        loop {
-            match frame::read_frame(reader) {
-                Ok(None) => return, // clean disconnect
-                Ok(Some(text)) => {
-                    // Bracket the request as "active" so a concurrent
-                    // shutdown drains it (response sent) instead of
-                    // resetting the socket underneath it.
-                    self.shared.active_requests.fetch_add(1, Ordering::SeqCst);
-                    let (response, stop) = self.dispatcher.respond(&text);
-                    let sent = Self::send(writer, &response);
-                    self.shared.active_requests.fetch_sub(1, Ordering::SeqCst);
-                    if sent.is_err() {
-                        return;
-                    }
-                    if stop {
-                        self.request_shutdown();
-                        return;
-                    }
-                    if self.shared.is_shutting_down() {
-                        return;
-                    }
-                }
-                Err(error) => {
-                    // Answer the framing failure structurally, then keep
-                    // the connection only if the stream is still
-                    // synchronised (payload-level failure); a corrupt
-                    // header or dead socket forces a close.
-                    let resynchronizable = error.is_resynchronizable();
-                    let io_failure = matches!(error, FrameError::Io(_));
-                    if !io_failure {
-                        let response = WireResponse::err(
-                            0,
-                            WireError::malformed(format!("unreadable frame: {error}")),
-                        );
-                        let _ = Self::send(writer, &response);
-                    }
-                    if !resynchronizable {
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Encodes and frames one response.
-    fn send(writer: &mut TcpStream, response: &WireResponse) -> std::io::Result<()> {
-        frame::write_frame(writer, &encode_response_or_internal(response))
-    }
-}
-
-/// A running blocking server on a background thread.
-#[derive(Debug)]
-pub struct ServerHandle {
-    addr: SocketAddr,
-    service: Arc<MappingService>,
-    shared: Arc<ServerShared>,
-    thread: std::thread::JoinHandle<Result<(), ServerError>>,
-}
-
-impl ServerHandle {
-    /// The address clients connect to.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The served [`MappingService`].
-    pub fn service(&self) -> &Arc<MappingService> {
-        &self.service
-    }
-
-    /// Stops the accept loop (draining in-flight requests first) and
-    /// joins the server thread.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the server's exit result.
-    pub fn shutdown(self) -> Result<(), ServerError> {
-        self.shared.stop(Some(self.addr));
-        match self.thread.join() {
-            Ok(result) => result,
-            Err(_) => Err(ServerError::Io(std::io::Error::other(
-                "server thread panicked",
-            ))),
-        }
-    }
-
-    /// Waits for the server to stop on its own (a wire `Shutdown`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the server's exit result.
-    pub fn join(self) -> Result<(), ServerError> {
-        match self.thread.join() {
-            Ok(result) => result,
-            Err(_) => Err(ServerError::Io(std::io::Error::other(
-                "server thread panicked",
-            ))),
-        }
-    }
-}
-
-/// Binds and spawns a blocking server in one call — the test/demo entry
-/// point.
-///
-/// # Errors
-///
-/// See [`Server::bind`] and [`Server::spawn`].
-pub fn spawn_on_ephemeral_port(
-    archive_dir: Option<PathBuf>,
-    limits: RequestLimits,
-) -> Result<ServerHandle, ServerError> {
-    Server::bind(ServerConfig {
-        addr: "127.0.0.1:0".to_string(),
-        archive_dir,
-        limits,
-        ..ServerConfig::default()
-    })?
-    .spawn()
-}
-
-/// Resolves a user-supplied address string early so the binary can report
-/// bad `--addr` values before binding.
-///
-/// # Errors
-///
-/// Returns an error for unresolvable addresses.
-pub fn resolve_addr(addr: &str) -> std::io::Result<SocketAddr> {
-    addr.to_socket_addrs()?
-        .next()
-        .ok_or_else(|| std::io::Error::other(format!("address `{addr}` resolves to nothing")))
 }

@@ -805,7 +805,7 @@ impl std::fmt::Debug for ReactorHandle {
 }
 
 /// Binds and spawns a reactor server on an ephemeral port — the
-/// test/demo entry point, mirroring [`crate::spawn_on_ephemeral_port`].
+/// test/demo entry point.
 ///
 /// # Errors
 ///
@@ -994,9 +994,9 @@ impl EventLoop<'_> {
                     Ok(Some(text)) => inbound.push(Inbound::Frame(text)),
                     Ok(None) => break,
                     Err(error) => {
-                        // Mirror the blocking server: answer the framing
-                        // failure structurally; only a desynchronised
-                        // stream (corrupt header) forces a close.
+                        // Answer the framing failure structurally; only a
+                        // desynchronised stream (corrupt header) forces a
+                        // close.
                         let resynchronizable = error.is_resynchronizable();
                         inbound.push(Inbound::Broken(Box::new(WireResponse::err(
                             0,

@@ -10,10 +10,17 @@
 //! The reactor answers replays and coalesced waiters by splicing an id into
 //! one encoding (`EncodedOutcome`); those frames must equal the frames of
 //! `encode_response` byte for byte.
+//!
+//! The reactor reads with the incremental `FrameDecoder`; on arbitrary and
+//! mutated byte streams, fed in arbitrary chunkings, it must yield the
+//! frames and the first error the blocking `read_frame_with_cap` reads
+//! from the same bytes, never panic, and stay poisoned after a header
+//! error.
 
 use mnc_core::Constraints;
 use mnc_runtime::{BatchConfig, MappingRequest, MappingService};
 use mnc_server::{Dispatcher, RequestLimits};
+use mnc_wire::frame::{FrameDecoder, FrameError};
 use mnc_wire::{
     encode_request, encode_response, frame, EncodedOutcome, WireBatch, WireBody, WireOutcome,
     WirePayload, WireRequest, WireResponse, PROTOCOL_VERSION,
@@ -22,6 +29,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, JsonReader, Value};
+use std::io::Cursor;
 use std::sync::{Arc, OnceLock};
 
 /// Encoded responses to every wire command, answered by a real service.
@@ -371,6 +379,187 @@ fn spliced(outcome: EncodedOutcome<'_>, id: u64) -> String {
     String::from_utf8(out).unwrap()
 }
 
+/// The framing's header limit: `usize::MAX` has 20 digits.
+const MAX_HEADER_BYTES: usize = 20;
+
+/// What a frame reader reported, in stream order.
+#[derive(Debug, PartialEq)]
+enum FrameEvent {
+    Frame(String),
+    NotUtf8,
+    BadHeader(String),
+    TooLarge { announced: usize, max: usize },
+}
+
+impl FrameEvent {
+    /// The event for one read; `None` for an i/o error, which only the
+    /// blocking reader reports (on a truncated payload).
+    fn of(read: Result<String, FrameError>) -> Option<FrameEvent> {
+        Some(match read {
+            Ok(text) => FrameEvent::Frame(text),
+            Err(FrameError::NotUtf8) => FrameEvent::NotUtf8,
+            Err(FrameError::BadHeader(header)) => FrameEvent::BadHeader(header),
+            Err(FrameError::TooLarge { announced, max }) => FrameEvent::TooLarge { announced, max },
+            Err(FrameError::Io(_)) => return None,
+        })
+    }
+
+    fn ends_stream(&self) -> bool {
+        matches!(self, FrameEvent::BadHeader(_) | FrameEvent::TooLarge { .. })
+    }
+}
+
+/// The blocking reader over the whole stream: its events up to the first
+/// error it cannot read past, plus — when the stream ends mid-frame — the
+/// offset where that unfinished frame begins.
+fn blocking_events(bytes: &[u8], cap: usize) -> (Vec<FrameEvent>, Option<usize>) {
+    let mut reader = Cursor::new(bytes);
+    let mut events = Vec::new();
+    loop {
+        let start = reader.position() as usize;
+        let read = match frame::read_frame_with_cap(&mut reader, cap) {
+            Ok(None) => return (events, None),
+            read => read.map(Option::unwrap),
+        };
+        let rest = &bytes[start..];
+        let mid_header = !rest.contains(&b'\n') && rest.len() <= MAX_HEADER_BYTES;
+        match FrameEvent::of(read) {
+            // A truncated payload, or EOF inside a header that could
+            // still complete: the decoder waits for more bytes here.
+            None => return (events, Some(start)),
+            Some(FrameEvent::BadHeader(_)) if mid_header => return (events, Some(start)),
+            Some(event) => {
+                let ends = event.ends_stream();
+                events.push(event);
+                if ends {
+                    return (events, None);
+                }
+            }
+        }
+    }
+}
+
+/// What the decoder made of one stream.
+#[derive(Debug)]
+struct Decoded {
+    events: Vec<FrameEvent>,
+    /// Bytes still buffered when the input ran out (or the header error
+    /// stopped decoding).
+    buffered: usize,
+    /// After a header error: whether every later call, with the rest of
+    /// the stream fed in, still failed unrecoverably.
+    stayed_poisoned: bool,
+}
+
+/// The decoder fed `bytes` in `chunks`-sized pieces (cycled; zero-sized
+/// pieces included).
+fn decoder_events(bytes: &[u8], cap: usize, chunks: &[usize]) -> Decoded {
+    let mut decoder = FrameDecoder::with_cap(cap);
+    let mut events = Vec::new();
+    let mut offset = 0;
+    let mut sizes = chunks.iter().cycle();
+    loop {
+        loop {
+            let read = match decoder.next_frame() {
+                Ok(None) => break,
+                read => read.map(Option::unwrap),
+            };
+            let event = FrameEvent::of(read).expect("the decoder never reports i/o errors");
+            let ends = event.ends_stream();
+            events.push(event);
+            if ends {
+                let buffered = decoder.buffered();
+                decoder.extend(&bytes[offset..]);
+                let stayed_poisoned = (0..3).all(
+                    |_| matches!(decoder.next_frame(), Err(error) if !error.is_resynchronizable()),
+                );
+                return Decoded {
+                    events,
+                    buffered,
+                    stayed_poisoned,
+                };
+            }
+        }
+        if offset == bytes.len() {
+            return Decoded {
+                events,
+                buffered: decoder.buffered(),
+                stayed_poisoned: true,
+            };
+        }
+        let size = (*sizes.next().expect("chunk sizes")).min(bytes.len() - offset);
+        decoder.extend(&bytes[offset..offset + size]);
+        offset += size;
+    }
+}
+
+fn random_byte(rng: &mut StdRng) -> u8 {
+    rng.random_range(0..256u32) as u8
+}
+
+/// One frame of `payload` bytes (which need not be UTF-8), its length
+/// zero-padded to `width` digits — padding around `MAX_HEADER_BYTES`
+/// probes the header-length limit.
+fn raw_frame(payload: &[u8], width: usize) -> Vec<u8> {
+    let mut bytes = format!("{:0width$}\n", payload.len()).into_bytes();
+    bytes.extend_from_slice(payload);
+    bytes
+}
+
+/// A byte stream for the decoder: pure noise over a framing-heavy
+/// alphabet, or well-formed frames (UTF-8 or not) with a few mutations —
+/// byte flips, insertions, deletions, truncation, a duplicated span, a
+/// trailing digit run around `MAX_HEADER_BYTES` long.
+fn random_stream(rng: &mut StdRng) -> Vec<u8> {
+    const NOISE: [u8; 8] = [b'0', b'1', b'7', b'9', b'\n', b'-', b' ', 0xff];
+    if rng.random_range(0..4u8) == 0 {
+        return (0..rng.random_range(0..48usize))
+            .map(|_| match rng.random_range(0..3u8) {
+                0 => random_byte(rng),
+                _ => NOISE[rng.random_range(0..NOISE.len())],
+            })
+            .collect();
+    }
+    let mut bytes = Vec::new();
+    for _ in 0..rng.random_range(0..5usize) {
+        let payload = match rng.random_range(0..4u8) {
+            0 => (0..rng.random_range(0..8usize))
+                .map(|_| random_byte(rng))
+                .collect(),
+            _ => random_string(rng).into_bytes(),
+        };
+        let width = match rng.random_range(0..4u8) {
+            0 => rng.random_range(MAX_HEADER_BYTES - 1..MAX_HEADER_BYTES + 3),
+            _ => 0,
+        };
+        bytes.extend(raw_frame(&payload, width));
+    }
+    for _ in 0..rng.random_range(0..3usize) {
+        if bytes.is_empty() {
+            break;
+        }
+        let at = rng.random_range(0..bytes.len());
+        match rng.random_range(0..6u8) {
+            0 => bytes[at] = random_byte(rng),
+            1 => bytes.insert(at, NOISE[rng.random_range(0..NOISE.len())]),
+            2 => {
+                bytes.remove(at);
+            }
+            3 => bytes.truncate(at),
+            4 => {
+                let run = rng.random_range(MAX_HEADER_BYTES - 1..MAX_HEADER_BYTES + 3);
+                bytes.extend(b"9".repeat(run));
+            }
+            _ => {
+                let end = rng.random_range(at..bytes.len() + 1);
+                let span = bytes[at..end].to_vec();
+                bytes.splice(at..at, span);
+            }
+        }
+    }
+    bytes
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -444,6 +633,35 @@ proptest! {
                     framed(&encode_response(&expected).unwrap())
                 );
             }
+        }
+    }
+
+    #[test]
+    fn frame_decoder_matches_the_blocking_reader_on_hostile_streams(seed in 0u64..u64::MAX) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let bytes = random_stream(&mut rng);
+        let cap = match rng.random_range(0..3u8) {
+            0 => frame::DEFAULT_MAX_FRAME_BYTES,
+            _ => rng.random_range(0..16usize),
+        };
+        let chunks: Vec<usize> = match rng.random_range(0..3u8) {
+            0 => vec![bytes.len().max(1)],
+            1 => vec![1],
+            _ => (0..rng.random_range(1..6usize))
+                .map(|_| rng.random_range(0..8usize))
+                .chain([1])
+                .collect(),
+        };
+        let (expected, unfinished) = blocking_events(&bytes, cap);
+        let decoded = decoder_events(&bytes, cap, &chunks);
+        prop_assert_eq!(&decoded.events, &expected);
+        prop_assert!(decoded.stayed_poisoned, "decoder recovered after {:?}", decoded.events);
+        if let Some(start) = unfinished {
+            // The stream ended mid-frame: the decoder holds the unfinished
+            // frame and waits for the rest.
+            prop_assert_eq!(decoded.buffered, bytes.len() - start);
+        } else if !expected.last().is_some_and(FrameEvent::ends_stream) {
+            prop_assert_eq!(decoded.buffered, 0);
         }
     }
 }

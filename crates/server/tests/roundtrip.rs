@@ -3,9 +3,8 @@
 //! restart.
 
 use mnc_runtime::{BatchConfig, MappingRequest, MappingService};
-use mnc_server::reactor::spawn_reactor_on_ephemeral_port;
 use mnc_server::{
-    spawn_on_ephemeral_port, ClientError, ReactorConfig, ReactorServer, RequestLimits,
+    spawn_reactor_on_ephemeral_port, ClientError, ReactorConfig, ReactorServer, RequestLimits,
     ServerConfig, WireClient,
 };
 use mnc_wire::frame;
@@ -31,37 +30,8 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn wire_submit_is_bit_identical_to_in_process_submit() {
-    let handle = spawn_on_ephemeral_port(None, RequestLimits::default()).unwrap();
-    let mut client = WireClient::connect(handle.addr()).unwrap();
-
-    let request = small_request();
-    let over_wire = client.submit(&request).unwrap();
-    let in_process = MappingService::new().submit(&request).unwrap();
-
-    assert_eq!(over_wire.pareto_front, in_process.pareto_front);
-    assert_eq!(over_wire.best_by_objective, in_process.best_by_objective);
-    for (a, b) in over_wire.pareto_front.iter().zip(&in_process.pareto_front) {
-        assert_eq!(a.result.objective.to_bits(), b.result.objective.to_bits());
-        assert_eq!(
-            a.result.average_energy_mj.to_bits(),
-            b.result.average_energy_mj.to_bits()
-        );
-        assert_eq!(
-            a.result.average_latency_ms.to_bits(),
-            b.result.average_latency_ms.to_bits()
-        );
-    }
-    // The per-request pipeline trace crossed the wire intact.
-    assert_eq!(over_wire.stats.evaluations, in_process.stats.evaluations);
-    assert!(over_wire.stats.stage_micros_total() > 0.0);
-
-    handle.shutdown().unwrap();
-}
-
-#[test]
 fn wire_batch_coalesces_and_reports_per_request_results() {
-    let handle = spawn_on_ephemeral_port(None, RequestLimits::default()).unwrap();
+    let handle = spawn_reactor_on_ephemeral_port(None, RequestLimits::default()).unwrap();
     let mut client = WireClient::connect(handle.addr()).unwrap();
 
     let requests = vec![
@@ -113,7 +83,7 @@ fn raw_frame_exchange(addr: SocketAddr, payload: &str) -> mnc_wire::WireResponse
 
 #[test]
 fn malformed_json_gets_a_structured_error_and_keeps_the_connection() {
-    let handle = spawn_on_ephemeral_port(None, RequestLimits::default()).unwrap();
+    let handle = spawn_reactor_on_ephemeral_port(None, RequestLimits::default()).unwrap();
     let addr = handle.addr();
 
     let stream = TcpStream::connect(addr).unwrap();
@@ -159,7 +129,7 @@ fn malformed_json_gets_a_structured_error_and_keeps_the_connection() {
 
 #[test]
 fn corrupt_framing_is_answered_before_the_connection_closes() {
-    let handle = spawn_on_ephemeral_port(None, RequestLimits::default()).unwrap();
+    let handle = spawn_reactor_on_ephemeral_port(None, RequestLimits::default()).unwrap();
     let stream = TcpStream::connect(handle.addr()).unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
@@ -190,7 +160,7 @@ fn version_and_budget_violations_are_structured() {
         max_evaluations: 100,
         max_validation_samples: 500,
     };
-    let handle = spawn_on_ephemeral_port(None, limits).unwrap();
+    let handle = spawn_reactor_on_ephemeral_port(None, limits).unwrap();
     let addr = handle.addr();
     let mut client = WireClient::connect(addr).unwrap();
 
@@ -256,7 +226,7 @@ fn persisted_archive_replays_the_warm_request_after_restart() {
 
     // First life: answer two requests (filling the archive), persist,
     // then run a warm-started request.
-    let handle = spawn_on_ephemeral_port(Some(dir.clone()), limits).unwrap();
+    let handle = spawn_reactor_on_ephemeral_port(Some(dir.clone()), limits).unwrap();
     let mut client = WireClient::connect(handle.addr()).unwrap();
     client.submit(&small_request()).unwrap();
     client.submit(&small_request().seed(77)).unwrap();
@@ -276,7 +246,7 @@ fn persisted_archive_replays_the_warm_request_after_restart() {
     // Second life: the archive loads from disk, so the same warm request
     // seeds identically — same evaluation count, bit-identical front
     // ("no more evaluations / no worse front" with equality).
-    let handle = spawn_on_ephemeral_port(Some(dir.clone()), limits).unwrap();
+    let handle = spawn_reactor_on_ephemeral_port(Some(dir.clone()), limits).unwrap();
     assert!(handle.service().elite_archive().len() >= persisted.genomes);
     let mut client = WireClient::connect(handle.addr()).unwrap();
     let warm_after = client.submit(&warm_request).unwrap();
@@ -294,7 +264,7 @@ fn persisted_archive_replays_the_warm_request_after_restart() {
 
 #[test]
 fn stats_carry_cache_pipeline_and_archive_counters() {
-    let handle = spawn_on_ephemeral_port(None, RequestLimits::default()).unwrap();
+    let handle = spawn_reactor_on_ephemeral_port(None, RequestLimits::default()).unwrap();
     let mut client = WireClient::connect(handle.addr()).unwrap();
 
     client.submit(&small_request()).unwrap();
@@ -329,10 +299,6 @@ fn stats_carry_cache_pipeline_and_archive_counters() {
     handle.shutdown().unwrap();
 }
 
-// ---------------------------------------------------------------------------
-// Reactor front-end
-// ---------------------------------------------------------------------------
-
 #[test]
 fn reactor_submit_and_batch_are_bit_identical_to_in_process() {
     let handle = spawn_reactor_on_ephemeral_port(None, RequestLimits::default()).unwrap();
@@ -345,7 +311,18 @@ fn reactor_submit_and_batch_are_bit_identical_to_in_process() {
     assert_eq!(over_wire.best_by_objective, in_process.best_by_objective);
     for (a, b) in over_wire.pareto_front.iter().zip(&in_process.pareto_front) {
         assert_eq!(a.result.objective.to_bits(), b.result.objective.to_bits());
+        assert_eq!(
+            a.result.average_energy_mj.to_bits(),
+            b.result.average_energy_mj.to_bits()
+        );
+        assert_eq!(
+            a.result.average_latency_ms.to_bits(),
+            b.result.average_latency_ms.to_bits()
+        );
     }
+    // The per-request pipeline trace crossed the wire intact.
+    assert_eq!(over_wire.stats.evaluations, in_process.stats.evaluations);
+    assert!(over_wire.stats.stage_micros_total() > 0.0);
 
     // A verbatim repeat is a response-cache replay, sent from the cached
     // encoding: byte for byte the frame the encoder writes for it.
@@ -362,8 +339,7 @@ fn reactor_submit_and_batch_are_bit_identical_to_in_process() {
     .unwrap();
     assert_eq!(replay, encoded);
 
-    // Batches run on the search-worker pool but keep the coalescing
-    // semantics of the blocking server.
+    // Batches run on the search-worker pool and coalesce duplicates.
     let report = client
         .submit_batch(WireBatch {
             requests: vec![
@@ -558,44 +534,6 @@ fn reactor_shutdown_drains_an_active_batch_before_teardown() {
             other => panic!("unexpected response id {other}"),
         }
     }
-
-    handle.join().unwrap();
-}
-
-#[test]
-fn blocking_shutdown_drains_an_active_request_before_teardown() {
-    // Same regression on the legacy blocking server: Shutdown from one
-    // connection must wait for another connection's in-flight batch.
-    let handle = spawn_on_ephemeral_port(None, RequestLimits::default()).unwrap();
-    let addr = handle.addr();
-
-    let batch_thread = std::thread::spawn(move || {
-        let mut client = WireClient::connect(addr).unwrap();
-        client.submit_batch(WireBatch {
-            requests: vec![
-                small_request().seed(21),
-                small_request().seed(22),
-                small_request().seed(23),
-            ],
-            config: BatchConfig::new().max_concurrent(2),
-        })
-    });
-
-    // Let the batch land in a connection thread, then shut down from a
-    // second connection while it is (very likely) still searching.
-    std::thread::sleep(std::time::Duration::from_millis(50));
-    let mut shutdown_client = WireClient::connect(addr).unwrap();
-    shutdown_client.shutdown().unwrap();
-
-    let report = batch_thread
-        .join()
-        .expect("batch thread finished")
-        .expect("in-flight batch was drained, not reset");
-    assert_eq!(report.responses.len(), 3);
-    assert!(report
-        .responses
-        .iter()
-        .all(|r| matches!(r, WireResult::Ok(_))));
 
     handle.join().unwrap();
 }

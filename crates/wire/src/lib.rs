@@ -21,7 +21,7 @@
 //!   reads and malformed payloads without ambiguity.
 //!
 //! The protocol is transport-agnostic; `mnc-server` drives it over
-//! blocking TCP.
+//! non-blocking TCP with the incremental [`frame::FrameDecoder`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

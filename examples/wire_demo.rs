@@ -8,14 +8,15 @@
 //! ```
 
 use map_and_conquer::runtime::{MappingRequest, MappingService};
-use map_and_conquer::server::{spawn_on_ephemeral_port, RequestLimits, WireClient};
+use map_and_conquer::server::{spawn_reactor_on_ephemeral_port, RequestLimits, WireClient};
 use map_and_conquer::wire::WireBatch;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let archive_dir = std::env::temp_dir().join(format!("mnc_wire_demo_{}", std::process::id()));
     std::fs::create_dir_all(&archive_dir)?;
 
-    let handle = spawn_on_ephemeral_port(Some(archive_dir.clone()), RequestLimits::default())?;
+    let handle =
+        spawn_reactor_on_ephemeral_port(Some(archive_dir.clone()), RequestLimits::default())?;
     println!("mnc-server listening on {}", handle.addr());
 
     let mut client = WireClient::connect(handle.addr())?;
@@ -80,7 +81,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     client.shutdown()?;
     handle.join()?;
 
-    let handle = spawn_on_ephemeral_port(Some(archive_dir.clone()), RequestLimits::default())?;
+    let handle =
+        spawn_reactor_on_ephemeral_port(Some(archive_dir.clone()), RequestLimits::default())?;
     let mut client = WireClient::connect(handle.addr())?;
     let warm = client.submit(
         &request

@@ -25,7 +25,7 @@
 //!   recent/slow trace rings, per-generation search telemetry sinks and
 //!   the Prometheus-style text exposition,
 //! * [`wire`] — the versioned JSON wire protocol of the service, and
-//! * [`server`] — the blocking TCP front-end (`mnc-server` binary) plus
+//! * [`server`] — the event-driven TCP front-end (`mnc-server` binary) plus
 //!   the [`server::WireClient`] used by the demos and CI.
 //!
 //! # Quickstart
