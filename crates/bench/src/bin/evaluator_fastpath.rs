@@ -2,18 +2,15 @@
 //!
 //! Measures the acceptance workload of the fast-path PR — cold
 //! single-genome evaluation of visformer on `agx_xavier` with the full
-//! 10 000-sample validation set — through three pipelines:
+//! 10 000-sample validation set — through two pipelines:
 //!
 //! * **reference** — `Evaluator::evaluate_reference`: fresh transform,
 //!   per-slice estimator dispatch, naive per-sample accuracy loop (the
 //!   pre-PR baseline, retained as the property-test oracle),
 //! * **fast** — `Evaluator::evaluate`: fresh transform, precomputed cost
-//!   tables, closed-form accuracy over the sorted-difficulty index,
-//! * **fast + memoised transform** — `Evaluator::evaluate_transformed`
-//!   with the dynamic network already derived, the path the runtime's
-//!   transform cache serves for genomes sharing structure genes.
+//!   tables, closed-form accuracy over the sorted-difficulty index.
 //!
-//! Every measured evaluation is asserted bit-identical across pipelines
+//! Every measured evaluation is asserted bit-identical across the pipelines
 //! first, then the per-evaluation wall times and the speedup land in a
 //! JSON report under `results/` (override with `--json <path>`) so the
 //! perf trajectory is tracked from this PR onward. `--smoke` shrinks the
@@ -25,7 +22,6 @@
 //! ```
 
 use mnc_core::{Evaluator, EvaluatorBuilder, MappingConfig};
-use mnc_dynamic::DynamicNetwork;
 use mnc_mpsoc::Platform;
 use mnc_nn::models::{visformer, ModelPreset};
 use mnc_optim::Genome;
@@ -49,9 +45,7 @@ struct FastPathReport {
     fast_iterations: usize,
     reference_cold_us: f64,
     fast_cold_us: f64,
-    fast_memoised_transform_us: f64,
     cold_speedup: f64,
-    memoised_speedup: f64,
     bit_identical: bool,
     smoke: bool,
 }
@@ -100,13 +94,6 @@ fn main() {
                 .expect("random genome decodes")
         })
         .collect();
-    let transformed: Vec<DynamicNetwork> = configs
-        .iter()
-        .map(|config| {
-            DynamicNetwork::transform(&network, &config.partition, &config.indicator)
-                .expect("transform succeeds")
-        })
-        .collect();
 
     // Bit-identity gate before timing anything.
     for config in &configs {
@@ -131,19 +118,6 @@ fn main() {
     let fast_cold_us = time_per_eval_us(fast_iterations, &configs, |config| {
         evaluator.evaluate(config).expect("fast")
     });
-    let memoised = {
-        let started = Instant::now();
-        for _ in 0..fast_iterations {
-            for (config, dynamic) in configs.iter().zip(&transformed) {
-                std::hint::black_box(
-                    evaluator
-                        .evaluate_transformed(dynamic, config)
-                        .expect("fast transformed"),
-                );
-            }
-        }
-        started.elapsed().as_secs_f64() * 1e6 / (fast_iterations * configs.len()) as f64
-    };
 
     let report = FastPathReport {
         bench: "evaluator_fastpath".to_string(),
@@ -155,9 +129,7 @@ fn main() {
         fast_iterations,
         reference_cold_us,
         fast_cold_us,
-        fast_memoised_transform_us: memoised,
         cold_speedup: reference_cold_us / fast_cold_us.max(1e-9),
-        memoised_speedup: reference_cold_us / memoised.max(1e-9),
         bit_identical: true,
         smoke,
     };
@@ -172,10 +144,6 @@ fn main() {
     println!(
         "  fast path          : {:>10.1} µs/eval  ({:.1}x)",
         report.fast_cold_us, report.cold_speedup
-    );
-    println!(
-        "  + memoised transform: {:>9.1} µs/eval  ({:.1}x)",
-        report.fast_memoised_transform_us, report.memoised_speedup
     );
 
     mnc_bench::write_json_report(&json_path, &report);

@@ -3,8 +3,8 @@
 //! Replays a workload of mapping requests — a mix of distinct
 //! (model, platform, seed) combinations and exact repeats, the shape of
 //! traffic a deployment-planning front-end generates — through the batch
-//! scheduler and reports requests/second, cache effectiveness and
-//! coalescing for the cold, warm and mixed phases, plus a sequential-vs-
+//! scheduler and reports requests/second, searches run and coalescing
+//! for the cold, warm and mixed phases, plus a sequential-vs-
 //! concurrent comparison of the mixed batch on two identically warmed
 //! services.
 //!
@@ -17,7 +17,9 @@
 //! `--quick` is the CI smoke mode: a small workload under the `ci`
 //! budget, and the batched responses are asserted bit-identical to
 //! sequential `submit` (the process exits non-zero on any determinism
-//! drift, panic, or coalescing-accounting mismatch).
+//! drift, panic, or coalescing-accounting mismatch). In every mode the
+//! warm phase must run no search: it is answered by response-cache
+//! replays.
 
 use mnc_bench::Budget;
 use mnc_runtime::{
@@ -36,12 +38,12 @@ struct PhaseMetrics {
     elapsed_ms: f64,
     requests_per_s: f64,
     evaluations: usize,
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_hit_ratio: f64,
+    /// Searches the pipeline ran for this phase (0 when every request
+    /// was a response-cache replay).
+    searches: u64,
 }
 
-/// The `--json` report: phase throughputs plus cache/coalescing totals,
+/// The `--json` report: phase throughputs plus coalescing totals,
 /// written under `results/` so the service-throughput trajectory is
 /// tracked across PRs.
 #[derive(Debug, Serialize)]
@@ -54,9 +56,6 @@ struct ThroughputReport {
     sequential_mixed_s: f64,
     batched_mixed_s: f64,
     batched_vs_sequential: f64,
-    cache_entries: usize,
-    lifetime_hit_ratio: f64,
-    coalesced_inflight_lookups: u64,
     /// Service-lifetime per-stage pipeline counters (the staged request
     /// path every phase above was served through).
     pipeline: PipelineStats,
@@ -149,10 +148,10 @@ fn run_phase(
     config: &BatchConfig,
     label: &str,
 ) -> (BatchReport, PhaseMetrics) {
+    let searches_before = service.pipeline_stats().searches_run;
     let report = service.submit_batch_with(requests, config);
+    let searches = service.pipeline_stats().searches_run - searches_before;
     let mut evaluations = 0usize;
-    let mut hits = 0u64;
-    let mut misses = 0u64;
     // Sum work over group leaders only: coalesced duplicates carry clones
     // of their leader's stats, so summing every response would double-
     // count each deduplicated search.
@@ -161,19 +160,10 @@ fn run_phase(
             .as_ref()
             .expect("preset workload requests are valid");
         evaluations += response.stats.evaluations;
-        hits += response.stats.cache_hits;
-        misses += response.stats.cache_misses;
     }
     let elapsed = report.stats.elapsed_ms / 1e3;
-    let lookups = hits + misses;
-    let hit_ratio = if lookups == 0 {
-        0.0
-    } else {
-        hits as f64 / lookups as f64
-    };
-    let hit_pct = hit_ratio * 100.0;
     println!(
-        "{label:<6} {:>4} requests ({:>2} unique, {:>2} coalesced) in {elapsed:>7.2} s  ({:>6.2} req/s, {evaluations:>8} evaluations, {hit_pct:>5.1}% cache hits)",
+        "{label:<6} {:>4} requests ({:>2} unique, {:>2} coalesced) in {elapsed:>7.2} s  ({:>6.2} req/s, {evaluations:>8} evaluations, {searches:>3} searches)",
         report.stats.requests,
         report.stats.unique_requests,
         report.stats.coalesced_requests,
@@ -187,9 +177,7 @@ fn run_phase(
         elapsed_ms: report.stats.elapsed_ms,
         requests_per_s: report.stats.requests as f64 / elapsed.max(1e-9),
         evaluations,
-        cache_hits: hits,
-        cache_misses: misses,
-        cache_hit_ratio: hit_ratio,
+        searches,
     };
     (report, metrics)
 }
@@ -203,7 +191,7 @@ fn sequential_vs_batched(
 ) -> (Vec<mnc_runtime::MappingResponse>, BatchReport, f64) {
     let sequential_service = MappingService::new();
     let batched_service = MappingService::new();
-    // Warm both caches with the base workload so the comparison measures
+    // Warm both services with the base workload so the comparison measures
     // scheduling, not who pays the cold evaluator builds.
     sequential_service.submit_batch(base);
     batched_service.submit_batch(base);
@@ -283,8 +271,12 @@ fn main() {
     // Cold: every evaluation is fresh.
     let (_, cold_metrics) = run_phase(&service, &requests, &BatchConfig::default(), "cold");
     phases.push(cold_metrics);
-    // Warm: identical traffic, answered from the evaluation cache.
+    // Warm: identical traffic, answered by response-cache replays.
     let (_, warm_metrics) = run_phase(&service, &requests, &BatchConfig::default(), "warm");
+    assert_eq!(
+        warm_metrics.searches, 0,
+        "the warm phase must be answered without running a search"
+    );
     phases.push(warm_metrics);
     // Mixed: repeats + new seeds + in-batch duplicates.
     let (mixed_report, mixed_metrics) =
@@ -321,17 +313,9 @@ fn main() {
         assert_eq!(report.leader_positions.len(), expected_unique);
     }
 
-    let stats = service.cache_stats();
-    println!(
-        "\ncache: {} entries, {:.1}% lifetime hit ratio, {} coalesced in-flight lookups",
-        stats.entries,
-        stats.hit_ratio() * 100.0,
-        stats.coalesced,
-    );
-
     let pipeline = service.pipeline_stats();
     println!(
-        "pipeline: {} requests over {} batches ({} coalesced), {} searches, {} evaluator builds / {} pool hits",
+        "\npipeline: {} requests over {} batches ({} coalesced), {} searches, {} evaluator builds / {} pool hits",
         pipeline.requests,
         pipeline.batches,
         pipeline.coalesced_requests,
@@ -368,9 +352,6 @@ fn main() {
             sequential_mixed_s: sequential_s,
             batched_mixed_s: batched_s,
             batched_vs_sequential: sequential_s / batched_s.max(1e-9),
-            cache_entries: stats.entries,
-            lifetime_hit_ratio: stats.hit_ratio(),
-            coalesced_inflight_lookups: stats.coalesced,
             pipeline,
             stage_latency,
             request_latency,

@@ -24,7 +24,6 @@ use mnc_dynamic::{
 use mnc_mpsoc::Platform;
 use mnc_nn::{ImportanceModel, LayerId, Network};
 use serde::{Deserialize, Serialize};
-use std::sync::OnceLock;
 
 /// Everything the evaluator derives from one configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -234,7 +233,7 @@ impl EvaluatorBuilder {
                     .num_bytes() as f64)
             })
             .collect::<Result<Vec<f64>, CoreError>>()?;
-        let evaluator = Evaluator {
+        Ok(Evaluator {
             network: self.network,
             platform: self.platform,
             accuracy,
@@ -246,12 +245,7 @@ impl EvaluatorBuilder {
             quantized,
             partitionable,
             output_bytes,
-            fingerprint: OnceLock::new(),
-        };
-        // Pay the serialization pass once at build time; every later
-        // `fingerprint()` call is a load.
-        evaluator.fingerprint();
-        Ok(evaluator)
+        })
     }
 }
 
@@ -277,8 +271,6 @@ pub struct Evaluator {
     /// Each layer's output-feature byte count, resolved once at build time
     /// (shapes are fixed); feeds the fused paths' transfer derivation.
     output_bytes: Vec<f64>,
-    /// Memoised [`Evaluator::fingerprint`], set at build time.
-    fingerprint: OnceLock<u64>,
 }
 
 impl Evaluator {
@@ -312,32 +304,6 @@ impl Evaluator {
         self.accuracy.profile().baseline_accuracy
     }
 
-    /// A stable fingerprint of everything this evaluator holds fixed
-    /// during a search: network, platform, accuracy model, validation set,
-    /// constraints, estimator and objective weights.
-    ///
-    /// Two evaluators with equal fingerprints produce bit-identical
-    /// [`EvaluationResult`]s for the same configuration, so the fingerprint
-    /// is a sound cache-key component (see `mnc_runtime`'s evaluation
-    /// cache). The serialization pass behind it — network, platform and
-    /// the full validation set — runs once, at build time; every later
-    /// call returns the memoised value.
-    pub fn fingerprint(&self) -> u64 {
-        *self.fingerprint.get_or_init(|| {
-            let mut hasher = crate::fingerprint::StableHasher::new();
-            hasher.write_u64(crate::fingerprint::fingerprint_serialized(&self.network));
-            hasher.write_u64(crate::fingerprint::fingerprint_serialized(&self.platform));
-            hasher.write_u64(crate::fingerprint::fingerprint_serialized(&self.accuracy));
-            hasher.write_u64(crate::fingerprint::fingerprint_serialized(&self.validation));
-            hasher.write_u64(crate::fingerprint::fingerprint_serialized(
-                &self.constraints,
-            ));
-            hasher.write_u64(crate::fingerprint::fingerprint_serialized(&self.estimator));
-            hasher.write_u64(crate::fingerprint::fingerprint_serialized(&self.weights));
-            hasher.finish()
-        })
-    }
-
     /// The precomputed cost table, when the estimator supports one.
     pub fn cost_table(&self) -> Option<&CostTable> {
         self.cost_table.as_ref()
@@ -352,38 +318,12 @@ impl Evaluator {
     pub fn evaluate(&self, config: &MappingConfig) -> Result<EvaluationResult, CoreError> {
         let dynamic =
             DynamicNetwork::transform(&self.network, &config.partition, &config.indicator)?;
-        self.evaluate_transformed(&dynamic, config)
-    }
-
-    /// Evaluates a configuration whose dynamic transformation has already
-    /// been computed (lets callers amortise the transform).
-    ///
-    /// `dynamic` must have been transformed from **this evaluator's
-    /// network** — the precomputed cost table classifies layers from it,
-    /// so a dynamic network derived from a different model would be
-    /// silently mispriced (debug builds assert this; release builds, where
-    /// this sits on the hot path, trust the caller the same way the
-    /// stage-count check trusts `config`).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the configuration does not match the dynamic
-    /// network or the hardware model rejects it.
-    pub fn evaluate_transformed(
-        &self,
-        dynamic: &DynamicNetwork,
-        config: &MappingConfig,
-    ) -> Result<EvaluationResult, CoreError> {
-        debug_assert!(
-            dynamic.network() == &self.network,
-            "dynamic network was transformed from a different model than this evaluator's"
-        );
         let perf = match &self.cost_table {
-            Some(table) => evaluate_performance_tabled(dynamic, config, &self.platform, table)?,
-            None => evaluate_performance(dynamic, config, &self.platform, &self.estimator)?,
+            Some(table) => evaluate_performance_tabled(&dynamic, config, &self.platform, table)?,
+            None => evaluate_performance(&dynamic, config, &self.platform, &self.estimator)?,
         };
-        let report = self.accuracy.evaluate(dynamic, &self.validation);
-        Ok(self.assemble(dynamic, perf, report))
+        let report = self.accuracy.evaluate(&dynamic, &self.validation);
+        Ok(self.assemble(&dynamic, perf, report))
     }
 
     /// Evaluates a configuration through the fused fast path: the
@@ -704,18 +644,6 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_transformed_matches_evaluate() {
-        let evaluator = evaluator();
-        let config = skewed_config(&evaluator);
-        let dynamic =
-            DynamicNetwork::transform(evaluator.network(), &config.partition, &config.indicator)
-                .unwrap();
-        let a = evaluator.evaluate(&config).unwrap();
-        let b = evaluator.evaluate_transformed(&dynamic, &config).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn fast_path_matches_reference_pipeline_bitwise() {
         let evaluator = evaluator();
         let config = skewed_config(&evaluator);
@@ -747,24 +675,6 @@ mod tests {
         let table = evaluator.cost_table().expect("analytic builds a table");
         assert_eq!(table.num_units(), evaluator.platform().num_compute_units());
         assert_eq!(table.num_layers(), evaluator.network().num_layers());
-    }
-
-    #[test]
-    fn fingerprint_is_memoised_and_stable() {
-        let evaluator = evaluator();
-        let first = evaluator.fingerprint();
-        assert_eq!(first, evaluator.fingerprint());
-        // A clone carries the memoised value and agrees with it.
-        assert_eq!(first, evaluator.clone().fingerprint());
-        // A freshly built identical evaluator recomputes the same value.
-        let rebuilt = EvaluatorBuilder::new(
-            visformer_tiny(ModelPreset::cifar100()),
-            Platform::dual_test(),
-        )
-        .validation_samples(2000)
-        .build()
-        .unwrap();
-        assert_eq!(first, rebuilt.fingerprint());
     }
 
     #[test]

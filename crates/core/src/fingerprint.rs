@@ -1,10 +1,8 @@
 //! Cheap, stable structural fingerprints for caching.
 //!
-//! The runtime's evaluation cache (see `mnc_runtime`) keys cached
-//! [`crate::EvaluationResult`]s by *what was evaluated*: the candidate
-//! configuration and everything the evaluator holds fixed (network,
-//! platform, accuracy model, validation set, constraints, estimator and
-//! objective weights). This module provides the hashing machinery:
+//! The runtime keys its evaluator pool, request coalescing and response
+//! cache by hashes of request content, and the search keys its within-run
+//! memo by genome hashes. This module provides the hashing machinery:
 //!
 //! * [`StableHasher`] — a 64-bit FNV-1a hasher whose output is a pure
 //!   function of the written bytes, independent of platform, process or
@@ -14,9 +12,9 @@
 //!   type in the workspace a fingerprint for free,
 //! * [`Fingerprint`] — a trait for hand-rolled, allocation-free
 //!   implementations. [`MappingConfig`] implements it for callers keying
-//!   caches on decoded configurations; note the runtime's search cache
-//!   keys on the cheaper `Genome::fingerprint` (defined in `mnc_optim`
-//!   with the same [`StableHasher`]) since genomes exist before decoding.
+//!   caches on decoded configurations; the search's memo keys on the
+//!   cheaper `Genome::fingerprint` (defined in `mnc_optim` with the same
+//!   [`StableHasher`]) since genomes exist before decoding.
 
 use crate::config::MappingConfig;
 use serde::{Serialize, Value};

@@ -10,15 +10,12 @@
 //!   transform recursion into flat storage instead of materialising a
 //!   `DynamicNetwork` per candidate (bit-identical to
 //!   [`mnc_core::Evaluator::evaluate`], two orders of magnitude fewer
-//!   allocations),
-//! * `mnc_runtime::CachedEvaluator` implements it with a sharded
-//!   fingerprint-keyed cache in front of the same fused call, so repeated
-//!   genomes — within one search or across service requests — skip both
-//!   the decode and the simulation.
+//!   allocations); `mnc_runtime`'s pipeline forwards to that same hook
+//!   behind its fault-injection tick.
 //!
 //! Results come back `Arc`-backed: one evaluation is shared by the search
-//! archive, the elite set and any cache layer without ever deep-cloning
-//! the decoded configuration again.
+//! archive, the elite set and the within-run memo without ever
+//! deep-cloning the decoded configuration again.
 //!
 //! [`ConfigEvaluator::evaluate_genome_reference`] keeps the pre-fast-path
 //! pipeline (row-by-row decode plus the transform-materialising

@@ -447,9 +447,9 @@ impl Genome {
     /// A stable 64-bit fingerprint of every gene.
     ///
     /// Two genomes fingerprint equal iff they are equal, up to hash
-    /// collisions (~2⁻⁶⁴ per pair), so the fingerprint serves as the
-    /// per-candidate component of the runtime's evaluation-cache key. This
-    /// is the hot path — a search touches it once per candidate — so it
+    /// collisions (~2⁻⁶⁴ per pair), so the fingerprint keys the search's
+    /// within-run memo and the warm-start archive's dedupe. This is the
+    /// hot path — a search touches it once per candidate — so it
     /// hashes the raw genes directly instead of going through the decoded
     /// configuration.
     pub fn fingerprint(&self) -> u64 {
@@ -613,7 +613,7 @@ mod tests {
 
     #[test]
     fn fingerprint_covers_mapping_and_dvfs_genes() {
-        // The fingerprint keys the runtime's evaluation cache, so genomes
+        // The fingerprint keys the search's within-run memo, so genomes
         // differing only in mapping or DVFS genes must not collide.
         let (net, platform, mut rng) = setup();
         let base = Genome::random(&net, &platform, &mut rng);

@@ -545,10 +545,10 @@ impl SearchCheckpoint {
 
 /// The evolutionary mapping search.
 ///
-/// Generic over the [`ConfigEvaluator`] hook: pass a plain
-/// [`mnc_core::Evaluator`] for the paper's offline workflow, or a
-/// cache-aware wrapper (such as `mnc_runtime::CachedEvaluator`) so repeated
-/// genomes skip re-simulation.
+/// Generic over the [`ConfigEvaluator`] hook: a plain
+/// [`mnc_core::Evaluator`], or a thin wrapper that forwards to one (the
+/// service's pipeline adds a fault-injection tick). Repeated genomes
+/// within a run are answered by the search's own memo.
 pub struct MappingSearch<'a, E: ConfigEvaluator = Evaluator> {
     evaluator: &'a E,
     config: SearchConfig,

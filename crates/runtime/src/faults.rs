@@ -29,8 +29,12 @@
 //! Socket-layer faults (mid-frame disconnect, stalled reader) need no
 //! hook: a chaos client produces them from the outside.
 
+use mnc_core::{EvaluationResult, Evaluator, MappingConfig};
+use mnc_mpsoc::Platform;
+use mnc_nn::Network;
+use mnc_optim::{ConfigEvaluator, Genome, OptimError};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Evaluations remaining until the armed panic fires (0 = disarmed).
 static EVAL_PANIC_IN: AtomicU64 = AtomicU64::new(0);
@@ -109,9 +113,32 @@ impl Drop for FaultGuard {
     }
 }
 
+/// The evaluation hook every pipeline search runs through: ticks the
+/// armed eval-panic countdown, then forwards to the evaluator's own
+/// [`ConfigEvaluator::evaluate_genome`].
+pub(crate) struct FaultTicking<'a>(pub(crate) &'a Evaluator);
+
+impl ConfigEvaluator for FaultTicking<'_> {
+    fn network(&self) -> &Network {
+        self.0.network()
+    }
+
+    fn platform(&self) -> &Platform {
+        self.0.platform()
+    }
+
+    fn evaluate_genome(
+        &self,
+        genome: &Genome,
+    ) -> Result<(Arc<MappingConfig>, Arc<EvaluationResult>), OptimError> {
+        eval_tick();
+        ConfigEvaluator::evaluate_genome(self.0, genome)
+    }
+}
+
 /// Evaluator injection point: counts an armed eval panic down, firing
 /// (and disarming) when the countdown reaches its Nth call.
-pub(crate) fn eval_tick() {
+fn eval_tick() {
     let mut remaining = EVAL_PANIC_IN.load(Ordering::Relaxed);
     while remaining != 0 {
         match EVAL_PANIC_IN.compare_exchange_weak(

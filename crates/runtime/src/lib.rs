@@ -8,20 +8,11 @@
 //! — the way a fleet-management or deployment-planning system would ask
 //! them, many times, for many models and boards.
 //!
-//! Three pieces make that fast:
+//! The pieces:
 //!
 //! * [`registry`] — named catalogues of the built-in model presets and
 //!   (via [`mnc_mpsoc::PlatformRegistry`]) the platform presets, so
 //!   requests are plain data (strings + numbers) rather than Rust values,
-//! * [`cache`] — a sharded, fingerprint-keyed evaluation cache: every
-//!   (evaluator, genome) pair evaluated anywhere in the service is
-//!   remembered, so a repeated or overlapping request skips the decode and
-//!   re-simulation entirely,
-//! * [`cached`] — [`CachedEvaluator`], the [`mnc_optim::ConfigEvaluator`]
-//!   implementation that splices the cache into the search loop, which
-//!   rayon-parallelises each generation across cores while staying
-//!   bit-deterministic for a given seed, and coalesces concurrent misses
-//!   on one key into a single evaluation,
 //! * [`scheduler`] — the batch scheduler behind
 //!   [`MappingService::submit_batch`]: identical in-flight requests are
 //!   deduplicated onto one search and distinct requests run concurrently
@@ -34,7 +25,10 @@
 //!   [`FastPathOutcome`] seam, which `submit`, `submit_batch` and the
 //!   `mnc-wire`/`mnc-server` JSON front-end all drive, with per-stage
 //!   counters ([`PipelineStats`]) and a per-request stage trace in every
-//!   [`RequestStats`],
+//!   [`RequestStats`]. Every search evaluates through the pooled
+//!   [`mnc_core::Evaluator`]'s one [`mnc_optim::ConfigEvaluator`] hook,
+//!   rayon-parallel per generation and bit-deterministic for a given
+//!   seed; the search's within-run memo answers repeated genomes,
 //! * [`response_cache`] — the bounded cache of answered cold requests
 //!   behind the fast path: a repeated identical request replays its
 //!   stored response without touching the evaluator pool or a search
@@ -72,8 +66,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
-pub mod cached;
 pub mod error;
 pub mod faults;
 pub mod pipeline;
@@ -85,8 +77,6 @@ pub mod service;
 pub mod telemetry;
 pub mod warmstart;
 
-pub use cache::{CacheStats, ComputeLease, EvalCache};
-pub use cached::{CacheTraffic, CachedEvaluator};
 pub use error::RuntimeError;
 pub use faults::{FaultGuard, FaultPlan};
 pub use pipeline::{

@@ -50,11 +50,11 @@
 //!
 //! * **ResolveEvaluator** — resolve the evaluator (pooled or freshly
 //!   built, build-claimed so concurrent cold requests share one
-//!   construction) and splice the shared
-//!   [`EvalCache`](crate::cache::EvalCache) in front of it.
+//!   construction).
 //! * **WarmStartSeed** — when the request opts in, gather and
 //!   surrogate-rank elite genomes from earlier answers.
-//! * **Search** — run the evolutionary search.
+//! * **Search** — run the evolutionary search through the evaluator's
+//!   one [`ConfigEvaluator`](mnc_optim::ConfigEvaluator) hook.
 //! * **ArchiveFeedback** — feed the Pareto elites back into the archive
 //!   for future warm starts, store the response for future fast-path
 //!   answers, and assemble the response.
@@ -72,12 +72,12 @@
 //! response, stats included, the way coalesced batch duplicates replay
 //! their leader's).
 
-use crate::cached::CachedEvaluator;
 use crate::error::RuntimeError;
+use crate::faults::FaultTicking;
 use crate::response_cache::{ResponseKey, StoredResponse};
 use crate::scheduler::{normalized_for_coalescing, BatchConfig, BatchReport, BatchStats};
 use crate::service::{MappingRequest, MappingResponse, MappingService, RequestStats};
-use mnc_core::fingerprint_serialized;
+use mnc_core::{fingerprint_serialized, Evaluator};
 use mnc_optim::{
     CancelToken, EvaluatedConfig, Genome, MappingSearch, PauseToken, SearchCheckpoint,
     SearchOutcome, SearchRun,
@@ -103,8 +103,8 @@ pub enum PipelineStage {
     /// Response-cache probe: a previously answered identical cold
     /// request is replayed without touching the search pool.
     CacheLookup,
-    /// Evaluator resolution (pool hit or claimed build) + evaluation-cache
-    /// splice. First slow-path stage.
+    /// Evaluator resolution (pool hit or claimed build). First slow-path
+    /// stage.
     ResolveEvaluator,
     /// Warm-start seed gathering and surrogate ranking (opt-in).
     WarmStartSeed,
@@ -412,9 +412,9 @@ pub enum SlowPathRun {
 }
 
 /// In-flight state of a resumable slow-path request: everything the
-/// Search stage needs on every (re)entry. The evaluator wrapper and
-/// generation buffer ride along so cache-traffic accounting and the
-/// generation stream span every pause/resume segment of the request.
+/// Search stage needs on every (re)entry. The evaluator and generation
+/// buffer ride along so the generation stream spans every pause/resume
+/// segment of the request.
 #[derive(Debug)]
 struct ResumableState {
     request: MappingRequest,
@@ -424,7 +424,7 @@ struct ResumableState {
     deadline: Option<Instant>,
     cancel: CancelToken,
     pause: PauseToken,
-    cached: CachedEvaluator,
+    evaluator: Arc<Evaluator>,
     /// Warm-start seeds, consumed by the first drive; resumes restore
     /// their population from the checkpoint instead.
     seeds: Vec<Arc<Genome>>,
@@ -754,7 +754,7 @@ impl<'s> RequestPipeline<'s> {
                 started,
             )));
         }
-        let (cached, seeds) = match self.stage_prologue(&request, &prepared, &mut trace) {
+        let (evaluator, seeds) = match self.stage_prologue(&request, &prepared, &mut trace) {
             Ok(resolved) => resolved,
             Err(error) => {
                 return SlowPathRun::Done(Box::new(self.complete(
@@ -779,7 +779,7 @@ impl<'s> RequestPipeline<'s> {
                 deadline,
                 cancel,
                 pause,
-                cached,
+                evaluator,
                 seeds,
                 generations,
             },
@@ -863,13 +863,14 @@ impl<'s> RequestPipeline<'s> {
             deadline,
             cancel,
             pause,
-            cached,
+            evaluator,
             seeds,
             generations,
         } = state;
         let telemetry = self.service.telemetry();
+        let hook = FaultTicking(&evaluator);
         let run = self.try_stage(PipelineStage::Search, &mut trace, || {
-            let mut search = MappingSearch::new(&cached, prepared.config)
+            let mut search = MappingSearch::new(&hook, prepared.config)
                 .with_seeds(seeds)
                 .with_cancel_token(cancel.clone())
                 .with_pause_token(pause.clone());
@@ -910,7 +911,7 @@ impl<'s> RequestPipeline<'s> {
                     deadline,
                     cancel,
                     pause,
-                    cached,
+                    evaluator,
                     seeds: Vec::new(),
                     generations,
                 },
@@ -922,8 +923,7 @@ impl<'s> RequestPipeline<'s> {
                     telemetry.search_generations.add(events.len() as u64);
                     trace.generations(events);
                 }
-                let response =
-                    self.stage_epilogue(&request, &mut trace, started, &outcome, &cached);
+                let response = self.stage_epilogue(&request, &mut trace, started, &outcome);
                 SlowPathRun::Done(Box::new(self.complete(
                     Ok(response),
                     prepared.response_key.as_ref(),
@@ -946,14 +946,15 @@ impl<'s> RequestPipeline<'s> {
         cancel: &CancelToken,
     ) -> Result<MappingResponse, RuntimeError> {
         let telemetry = self.service.telemetry();
-        let (cached, seeds) = self.stage_prologue(request, prepared, trace)?;
+        let (evaluator, seeds) = self.stage_prologue(request, prepared, trace)?;
 
         // When the generation stream is on, the search reports every
         // generation into a request-local buffer; nothing the search
         // decides depends on it (the sink is write-only).
         let generations = telemetry.search_telemetry().then(GenerationBuffer::new);
+        let hook = FaultTicking(&evaluator);
         let outcome = self.try_stage(PipelineStage::Search, trace, || {
-            let mut search = MappingSearch::new(&cached, prepared.config)
+            let mut search = MappingSearch::new(&hook, prepared.config)
                 .with_seeds(seeds)
                 .with_cancel_token(cancel.clone());
             if let Some(deadline) = deadline {
@@ -977,7 +978,7 @@ impl<'s> RequestPipeline<'s> {
             telemetry.search_generations.add(events.len() as u64);
             trace.generations(events);
         }
-        Ok(self.stage_epilogue(request, trace, started, &outcome, &cached))
+        Ok(self.stage_epilogue(request, trace, started, &outcome))
     }
 
     /// ResolveEvaluator + WarmStartSeed: everything the Search stage
@@ -987,25 +988,19 @@ impl<'s> RequestPipeline<'s> {
         request: &MappingRequest,
         prepared: &PreparedRequest,
         trace: &mut StageTrace,
-    ) -> Result<(CachedEvaluator, Vec<Arc<Genome>>), RuntimeError> {
+    ) -> Result<(Arc<Evaluator>, Vec<Arc<Genome>>), RuntimeError> {
         let telemetry = self.service.telemetry();
-        let (cached, evaluator, built) =
-            self.try_stage(PipelineStage::ResolveEvaluator, trace, || {
-                let (evaluator, fingerprint, built) = self
-                    .service
-                    .resolve_evaluator_keyed(request, prepared.evaluator_key)?;
-                if built {
-                    telemetry.evaluator_builds.inc();
-                } else {
-                    telemetry.evaluator_pool_hits.inc();
-                }
-                let cached = CachedEvaluator::with_fingerprint(
-                    Arc::clone(&evaluator),
-                    Arc::clone(self.service.cache()),
-                    fingerprint,
-                );
-                Ok((cached, evaluator, built))
-            })?;
+        let (evaluator, built) = self.try_stage(PipelineStage::ResolveEvaluator, trace, || {
+            let (evaluator, built) = self
+                .service
+                .resolve_evaluator_keyed(request, prepared.evaluator_key)?;
+            if built {
+                telemetry.evaluator_builds.inc();
+            } else {
+                telemetry.evaluator_pool_hits.inc();
+            }
+            Ok((evaluator, built))
+        })?;
         trace.note("resolve_evaluator", || {
             format!("evaluator {}", if built { "built" } else { "pool_hit" })
         });
@@ -1025,7 +1020,7 @@ impl<'s> RequestPipeline<'s> {
                 "warm start not requested".to_string()
             }
         });
-        Ok((cached, seeds))
+        Ok((evaluator, seeds))
     }
 
     /// ArchiveFeedback + response assembly for a completed search,
@@ -1036,7 +1031,6 @@ impl<'s> RequestPipeline<'s> {
         trace: &mut StageTrace,
         started: Instant,
         outcome: &SearchOutcome,
-        cached: &CachedEvaluator,
     ) -> MappingResponse {
         let telemetry = self.service.telemetry();
         let (pareto_front, best_by_objective) =
@@ -1062,18 +1056,12 @@ impl<'s> RequestPipeline<'s> {
             });
 
         let summary = outcome.summary();
-        // Per-request counters from the wrapper, not deltas of the
-        // shared cache counters: concurrent requests would otherwise
-        // misattribute each other's traffic.
-        let traffic = cached.traffic();
         trace.note("search", || {
             format!(
-                "{} generations, {} evaluations ({} memoized), {} cache hits / {} misses{}",
+                "{} generations, {} evaluations ({} memoized){}",
                 summary.generations_run,
                 summary.evaluations,
                 summary.memo_hits,
-                traffic.hits,
-                traffic.misses,
                 if summary.partial {
                     ", partial (deadline/cancel)"
                 } else if summary.early_stopped {
@@ -1091,9 +1079,6 @@ impl<'s> RequestPipeline<'s> {
             generations_run: summary.generations_run,
             early_stopped: summary.early_stopped,
             partial: summary.partial,
-            cache_hits: traffic.hits,
-            cache_misses: traffic.misses,
-            cache_coalesced: traffic.coalesced,
             elapsed_ms: started.elapsed().as_secs_f64() * 1e3,
             stage_micros: trace.stage_micros(),
         };

@@ -272,9 +272,6 @@ mod tests {
                 generations_run: 0,
                 early_stopped: false,
                 partial: false,
-                cache_hits: 0,
-                cache_misses: 0,
-                cache_coalesced: 0,
                 elapsed_ms: 0.0,
                 stage_micros: [0.0; crate::pipeline::STAGE_COUNT],
             },

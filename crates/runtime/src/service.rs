@@ -4,18 +4,17 @@
 //! system holds on to. A [`MappingRequest`] names a model preset and a
 //! platform preset, the objective weights and constraints, and a search
 //! budget; [`MappingService::submit`] resolves the presets through the
-//! registries, obtains (or reuses) the evaluator for the pair, and runs a
-//! cache-backed, rayon-parallel evolutionary search. The response carries
-//! the feasible Pareto front plus [`RequestStats`] — evaluations spent,
-//! cache traffic, wall time — so callers can observe the service warming
-//! up: the first request for a workload pays for its evaluations, repeats
-//! are answered from the [`EvalCache`] at memory speed.
+//! registries, obtains (or reuses) the pooled evaluator for the pair, and
+//! runs a rayon-parallel evolutionary search through it. The response
+//! carries the feasible Pareto front plus [`RequestStats`] — evaluations
+//! spent, memo hits, wall time. An exact repeat of an answered request is
+//! replayed from the response cache on the pipeline's fast path without
+//! running a search.
 //!
 //! Everything is deterministic per request: the same request (including
 //! its seed) returns the same Pareto front whether served cold, warm, on
 //! one thread or on many.
 
-use crate::cache::{CacheStats, EvalCache};
 use crate::error::RuntimeError;
 use crate::pipeline::{PipelineStats, RequestPipeline, StageMicros};
 use crate::registry::ModelRegistry;
@@ -35,27 +34,26 @@ use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Upper bound on memoised evaluators: each pins a network, platform,
-/// accuracy model and validation set, so the pool is bounded like the
-/// evaluation cache (LRU eviction; in-flight requests keep their
-/// evaluator alive through the `Arc`).
+/// accuracy model and validation set, so the pool is bounded (LRU
+/// eviction; in-flight requests keep their evaluator alive through the
+/// `Arc`).
 const MAX_POOLED_EVALUATORS: usize = 64;
 
-/// The evaluator pool: fingerprint-keyed entries plus recency order
+/// The evaluator pool: request-keyed entries plus recency order
 /// (front = least recently used). Hits reposition the key at the back, so
 /// a hot model/platform shape survives arbitrarily many other shapes
 /// passing through — under the previous FIFO order it was evicted by
 /// insertion age even while in heavy rotation.
 #[derive(Debug, Default)]
 struct EvaluatorPool {
-    entries: HashMap<u64, (Arc<Evaluator>, u64)>,
+    entries: HashMap<u64, Arc<Evaluator>>,
     order: VecDeque<u64>,
 }
 
 impl EvaluatorPool {
     /// Looks up a pooled evaluator, marking it most recently used.
-    fn get(&mut self, key: u64) -> Option<(Arc<Evaluator>, u64)> {
-        let (evaluator, fingerprint) = self.entries.get(&key)?;
-        let found = (Arc::clone(evaluator), *fingerprint);
+    fn get(&mut self, key: u64) -> Option<Arc<Evaluator>> {
+        let found = Arc::clone(self.entries.get(&key)?);
         self.touch(key);
         Some(found)
     }
@@ -74,12 +72,7 @@ impl EvaluatorPool {
     /// entries beyond the bound. If a concurrent request built the same
     /// evaluator first, the resident one wins (both are equivalent, but
     /// sharing maximises `Arc` reuse).
-    fn insert(
-        &mut self,
-        key: u64,
-        evaluator: Arc<Evaluator>,
-        fingerprint: u64,
-    ) -> (Arc<Evaluator>, u64) {
+    fn insert(&mut self, key: u64, evaluator: Arc<Evaluator>) -> Arc<Evaluator> {
         if let Some(existing) = self.get(key) {
             return existing;
         }
@@ -89,10 +82,9 @@ impl EvaluatorPool {
             };
             self.entries.remove(&lru);
         }
-        self.entries
-            .insert(key, (Arc::clone(&evaluator), fingerprint));
+        self.entries.insert(key, Arc::clone(&evaluator));
         self.order.push_back(key);
-        (evaluator, fingerprint)
+        evaluator
     }
 }
 
@@ -333,7 +325,7 @@ impl MappingRequest {
 /// Per-request accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RequestStats {
-    /// Configurations the search examined (memoised, cached or fresh).
+    /// Configurations the search examined (memoised or fresh).
     pub evaluations: usize,
     /// Evaluations that reached the evaluator (the rest were served by
     /// the search's within-run memo).
@@ -355,14 +347,6 @@ pub struct RequestStats {
     /// rather than the full-budget answer. Partial responses are never
     /// stored in the response cache.
     pub partial: bool,
-    /// Cache hits while serving this request.
-    pub cache_hits: u64,
-    /// Cache misses (fresh evaluations) while serving this request.
-    pub cache_misses: u64,
-    /// Cache hits served by waiting on a concurrent in-flight evaluation
-    /// of the same key (a subset of [`RequestStats::cache_hits`]):
-    /// duplicate evaluations this request avoided.
-    pub cache_coalesced: u64,
     /// Wall time spent serving the request, in milliseconds.
     pub elapsed_ms: f64,
     /// Wall time per pipeline stage, microseconds, indexed by
@@ -374,15 +358,6 @@ pub struct RequestStats {
 }
 
 impl RequestStats {
-    /// Fraction of this request's lookups served from the cache.
-    pub fn cache_hit_ratio(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.cache_hits as f64 / total as f64
-    }
-
     /// Total wall time across the per-request stage trace, microseconds
     /// (≤ `elapsed_ms × 1000`; the difference is inter-stage overhead).
     pub fn stage_micros_total(&self) -> f64 {
@@ -411,9 +386,7 @@ pub struct ServiceConfig {
     /// Observability knobs (trace rings, generation streaming).
     pub telemetry: TelemetryConfig,
     /// Bound on the response cache behind the pipeline's fast path, in
-    /// entries; 0 disables it, so every request runs its search (the
-    /// pre-split behaviour — what benchmarks of the evaluation cache
-    /// want).
+    /// entries; 0 disables it, so every request runs its search.
     pub response_cache_entries: usize,
 }
 
@@ -426,13 +399,12 @@ impl Default for ServiceConfig {
     }
 }
 
-/// A long-lived mapping service with shared registries, evaluator pool and
-/// evaluation cache.
+/// A long-lived mapping service with shared registries, evaluator pool,
+/// elite archive and response cache.
 #[derive(Debug)]
 pub struct MappingService {
     models: ModelRegistry,
     platforms: PlatformRegistry,
-    cache: Arc<EvalCache>,
     evaluators: Mutex<EvaluatorPool>,
     /// Evaluator keys some thread is currently building (validation-set
     /// generation is the slow part of a cold request); concurrent requests
@@ -474,48 +446,25 @@ impl Drop for BuildClaim<'_> {
 }
 
 impl MappingService {
-    /// Creates a service with a fresh cache and default telemetry
-    /// (trace retention and search-generation streaming on).
+    /// Creates a service with default telemetry (trace retention and
+    /// search-generation streaming on).
     pub fn new() -> Self {
-        Self::with_cache(Arc::new(EvalCache::new()))
+        Self::with_config(ServiceConfig::default())
     }
 
-    /// Creates a service over an existing (possibly shared) cache.
-    pub fn with_cache(cache: Arc<EvalCache>) -> Self {
-        Self::with_cache_and_telemetry(cache, TelemetryConfig::default())
-    }
-
-    /// Creates a service with a fresh cache and the given telemetry
-    /// configuration.
+    /// Creates a service with the given telemetry configuration.
     pub fn with_telemetry_config(config: TelemetryConfig) -> Self {
-        Self::with_cache_and_telemetry(Arc::new(EvalCache::new()), config)
+        Self::with_config(ServiceConfig {
+            telemetry: config,
+            ..ServiceConfig::default()
+        })
     }
 
-    /// Creates a service over an existing cache with the given telemetry
-    /// configuration.
-    pub fn with_cache_and_telemetry(cache: Arc<EvalCache>, config: TelemetryConfig) -> Self {
-        Self::with_cache_and_config(
-            cache,
-            ServiceConfig {
-                telemetry: config,
-                ..ServiceConfig::default()
-            },
-        )
-    }
-
-    /// Creates a service with a fresh cache and the given
-    /// [`ServiceConfig`].
+    /// Creates a service with the given [`ServiceConfig`].
     pub fn with_config(config: ServiceConfig) -> Self {
-        Self::with_cache_and_config(Arc::new(EvalCache::new()), config)
-    }
-
-    /// Creates a service over an existing cache with the given
-    /// [`ServiceConfig`].
-    pub fn with_cache_and_config(cache: Arc<EvalCache>, config: ServiceConfig) -> Self {
         MappingService {
             models: ModelRegistry::new(),
             platforms: PlatformRegistry::new(),
-            cache,
             evaluators: Mutex::new(EvaluatorPool::default()),
             building: Mutex::new(HashSet::new()),
             building_done: Condvar::new(),
@@ -590,16 +539,6 @@ impl MappingService {
         &self.platforms
     }
 
-    /// Service-lifetime cache counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    /// The shared evaluation cache.
-    pub fn cache(&self) -> &Arc<EvalCache> {
-        &self.cache
-    }
-
     /// The warm-start elite archive (Pareto elites of answered requests).
     pub fn elite_archive(&self) -> &EliteArchive {
         &self.elites
@@ -662,10 +601,9 @@ impl MappingService {
 
     /// A point-in-time snapshot of every metric the service keeps:
     /// pipeline stage histograms and counters, request/batch histograms,
-    /// cache counters, archive and trace-ring gauges.
+    /// response-cache counters, archive and trace-ring gauges.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snapshot = self.telemetry.metrics_snapshot();
-        self.cache.record_metrics(&mut snapshot);
         let responses = self.responses.stats();
         snapshot.push_counter(
             MetricKey::plain("mnc_response_cache_hits_total"),
@@ -784,32 +722,27 @@ impl MappingService {
     /// [`MappingService::resolve_evaluator_keyed`] that hashes the key
     /// itself.
     #[cfg(test)]
-    fn resolve_evaluator(
-        &self,
-        request: &MappingRequest,
-    ) -> Result<(Arc<Evaluator>, u64), RuntimeError> {
+    fn resolve_evaluator(&self, request: &MappingRequest) -> Result<Arc<Evaluator>, RuntimeError> {
         self.resolve_evaluator_keyed(request, request.evaluator_key())
-            .map(|(evaluator, fingerprint, _)| (evaluator, fingerprint))
+            .map(|(evaluator, _)| evaluator)
     }
 
     /// Resolves (building or reusing) the evaluator a request needs under
     /// a pre-computed pool key (the pipeline's Fingerprint stage already
-    /// hashed it), returning it together with its memoised fingerprint —
-    /// so warm requests skip the fingerprint serialization pass too — and
-    /// whether this call performed the build (`false` = served from the
-    /// pool or a concurrent builder).
+    /// hashed it), returning it together with whether this call performed
+    /// the build (`false` = served from the pool or a concurrent builder).
     pub(crate) fn resolve_evaluator_keyed(
         &self,
         request: &MappingRequest,
         key: u64,
-    ) -> Result<(Arc<Evaluator>, u64, bool), RuntimeError> {
-        if let Some((evaluator, fingerprint)) = self
+    ) -> Result<(Arc<Evaluator>, bool), RuntimeError> {
+        if let Some(evaluator) = self
             .evaluators
             .lock()
             .expect("evaluator pool lock never poisoned")
             .get(key)
         {
-            return Ok((evaluator, fingerprint, false));
+            return Ok((evaluator, false));
         }
         // Claim the build so concurrent requests for the same shape don't
         // each generate a validation set only to discard all but one.
@@ -833,24 +766,24 @@ impl MappingService {
                     .wait(building)
                     .expect("evaluator build set lock never poisoned"),
             );
-            if let Some((evaluator, fingerprint)) = self
+            if let Some(evaluator) = self
                 .evaluators
                 .lock()
                 .expect("evaluator pool lock never poisoned")
                 .get(key)
             {
-                return Ok((evaluator, fingerprint, false));
+                return Ok((evaluator, false));
             }
         };
         // The builder may have finished between our pool miss and the
         // claim; re-check before paying for the build.
-        if let Some((evaluator, fingerprint)) = self
+        if let Some(evaluator) = self
             .evaluators
             .lock()
             .expect("evaluator pool lock never poisoned")
             .get(key)
         {
-            return Ok((evaluator, fingerprint, false));
+            return Ok((evaluator, false));
         }
         // Build outside the pool lock: evaluator construction generates
         // the validation set and is the slow part of a cold request.
@@ -871,13 +804,12 @@ impl MappingService {
                 .objective_weights(request.weights)
                 .build()?,
         );
-        let fingerprint = evaluator.fingerprint();
-        let mut pool = self
+        let evaluator = self
             .evaluators
             .lock()
-            .expect("evaluator pool lock never poisoned");
-        let (evaluator, fingerprint) = pool.insert(key, evaluator, fingerprint);
-        Ok((evaluator, fingerprint, true))
+            .expect("evaluator pool lock never poisoned")
+            .insert(key, evaluator);
+        Ok((evaluator, true))
     }
 
     /// Answers one mapping request by driving the staged
@@ -1039,7 +971,7 @@ mod tests {
         let request = small_request();
         let evaluators: Vec<Arc<Evaluator>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
-                .map(|_| scope.spawn(|| service.resolve_evaluator(&request).unwrap().0))
+                .map(|_| scope.spawn(|| service.resolve_evaluator(&request).unwrap()))
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });

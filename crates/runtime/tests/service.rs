@@ -1,13 +1,11 @@
-//! Integration tests of the mapping service: cache soundness, parallel
-//! determinism and the end-to-end request flow.
+//! Integration tests of the mapping service: evaluation-hook soundness,
+//! parallel determinism and the end-to-end request flow.
 
 use mnc_core::EvaluatorBuilder;
 use mnc_mpsoc::Platform;
 use mnc_nn::models::{visformer_tiny, ModelPreset};
 use mnc_optim::{ConfigEvaluator, Genome, MappingSearch, SearchConfig};
-use mnc_runtime::{
-    BatchConfig, CachedEvaluator, EvalCache, MappingRequest, MappingService, ServiceConfig,
-};
+use mnc_runtime::{BatchConfig, MappingRequest, MappingService, ServiceConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -24,116 +22,33 @@ fn evaluator(samples: usize) -> Arc<mnc_core::Evaluator> {
     )
 }
 
-/// Property: for ≥100 random genomes, the wrapper's fresh evaluation is
-/// bit-identical to the reference `Evaluator::evaluate` on the decoded
-/// configuration, and the evaluation served from the cache is
-/// bit-identical to the fresh one.
+/// Property: for ≥100 random genomes, the evaluation hook every search
+/// runs through is bit-identical to the reference `Evaluator::evaluate` on
+/// the decoded configuration.
 #[test]
-fn cached_evaluations_are_bit_identical_across_random_genomes() {
+fn hook_evaluations_are_bit_identical_across_random_genomes() {
     let evaluator = evaluator(500);
-    let cached = CachedEvaluator::new(Arc::clone(&evaluator), Arc::new(EvalCache::new()));
     let mut rng = StdRng::seed_from_u64(1234);
 
     for case in 0..120 {
-        let genome = Genome::random(cached.network(), cached.platform(), &mut rng);
-        // First call evaluates and fills the cache, second is served from it.
-        let (fresh_config, fresh_result) = cached.evaluate_genome(&genome).unwrap();
-        let (cached_config, cached_result) = cached.evaluate_genome(&genome).unwrap();
-        let reference = evaluator.evaluate(&fresh_config).unwrap();
-        assert_eq!(
-            *fresh_result, reference,
-            "fresh != reference at case {case}"
-        );
-        for (fresh, reference) in [
-            (fresh_result.objective, reference.objective),
-            (fresh_result.accuracy, reference.accuracy),
-            (
-                fresh_result.average_latency_ms,
-                reference.average_latency_ms,
-            ),
-            (fresh_result.average_energy_mj, reference.average_energy_mj),
+        let genome = Genome::random(evaluator.network(), evaluator.platform(), &mut rng);
+        let (config, result) =
+            ConfigEvaluator::evaluate_genome(evaluator.as_ref(), &genome).unwrap();
+        let reference = evaluator.evaluate(&config).unwrap();
+        assert_eq!(*result, reference, "hook != reference at case {case}");
+        for (hook, reference) in [
+            (result.objective, reference.objective),
+            (result.accuracy, reference.accuracy),
+            (result.average_latency_ms, reference.average_latency_ms),
+            (result.average_energy_mj, reference.average_energy_mj),
         ] {
-            assert_eq!(fresh.to_bits(), reference.to_bits(), "case {case}");
+            assert_eq!(hook.to_bits(), reference.to_bits(), "case {case}");
         }
-        assert_eq!(fresh_config, cached_config, "config differs at case {case}");
-        assert_eq!(fresh_result, cached_result, "result differs at case {case}");
-        // Bit-identity of every float, not just PartialEq:
-        assert_eq!(
-            fresh_result.average_latency_ms.to_bits(),
-            cached_result.average_latency_ms.to_bits()
-        );
-        assert_eq!(
-            fresh_result.average_energy_mj.to_bits(),
-            cached_result.average_energy_mj.to_bits()
-        );
-        assert_eq!(
-            fresh_result.objective.to_bits(),
-            cached_result.objective.to_bits()
-        );
     }
-    let stats = cached.cache().stats();
-    assert_eq!(stats.hits, 120);
-    assert_eq!(stats.misses, 120);
-}
-
-/// Property: the cache key separates platforms and objective weights — an
-/// entry produced under one evaluator state can never answer for another.
-#[test]
-fn cache_keys_differ_across_platforms_and_weights() {
-    let network = visformer_tiny(ModelPreset::cifar100());
-    let cache = Arc::new(EvalCache::new());
-
-    let on_dual = CachedEvaluator::new(
-        Arc::new(
-            EvaluatorBuilder::new(network.clone(), Platform::dual_test())
-                .validation_samples(500)
-                .build()
-                .unwrap(),
-        ),
-        Arc::clone(&cache),
-    );
-    let on_biglittle = CachedEvaluator::new(
-        Arc::new(
-            EvaluatorBuilder::new(network.clone(), Platform::edge_biglittle())
-                .validation_samples(500)
-                .build()
-                .unwrap(),
-        ),
-        Arc::clone(&cache),
-    );
-    let latency_weighted = CachedEvaluator::new(
-        Arc::new(
-            EvaluatorBuilder::new(network.clone(), Platform::dual_test())
-                .validation_samples(500)
-                .objective_weights(mnc_core::ObjectiveWeights::latency_oriented())
-                .build()
-                .unwrap(),
-        ),
-        Arc::clone(&cache),
-    );
-
-    // Both platforms have two compute units, so one genome decodes on
-    // either — but the cache keys must still differ.
-    let mut rng = StdRng::seed_from_u64(9);
-    for _ in 0..32 {
-        let genome = Genome::random(on_dual.network(), on_dual.platform(), &mut rng);
-        let k_dual = on_dual.key_for(&genome);
-        let k_biglittle = on_biglittle.key_for(&genome);
-        let k_weighted = latency_weighted.key_for(&genome);
-        assert_ne!(k_dual, k_biglittle, "platform not part of the key");
-        assert_ne!(k_dual, k_weighted, "weights not part of the key");
-        assert_ne!(k_biglittle, k_weighted);
-    }
-
-    // And the cached objectives really are weight-dependent.
-    let genome = Genome::balanced(on_dual.network(), on_dual.platform());
-    let (_, default_result) = on_dual.evaluate_genome(&genome).unwrap();
-    let (_, weighted_result) = latency_weighted.evaluate_genome(&genome).unwrap();
-    assert_ne!(default_result.objective, weighted_result.objective);
 }
 
 /// Same seed and budget on 1 thread vs N threads must yield the same
-/// archive and Pareto front, with or without the cache.
+/// archive and Pareto front.
 #[test]
 fn parallel_search_is_deterministic_across_thread_counts() {
     let evaluator = evaluator(500);
@@ -175,34 +90,21 @@ fn parallel_search_is_deterministic_across_thread_counts() {
     let front_single: Vec<_> = single.pareto_front().into_iter().cloned().collect();
     let front_many: Vec<_> = many.pareto_front().into_iter().cloned().collect();
     assert_eq!(front_single, front_many);
-
-    // The cached evaluator preserves the same guarantee.
-    let cached = CachedEvaluator::new(Arc::clone(&evaluator), Arc::new(EvalCache::new()));
-    let cached_many = MappingSearch::new(
-        &cached,
-        SearchConfig {
-            threads: Some(8),
-            ..base
-        },
-    )
-    .run()
-    .unwrap();
-    assert_eq!(single.archive(), cached_many.archive());
 }
 
-/// End-to-end acceptance: a repeated request returns the identical Pareto
-/// front without a single fresh evaluation — every genome its search
-/// visits is served from the evaluation cache.
+/// End-to-end acceptance: with the response cache off, a repeated request
+/// re-runs its search and returns the identical Pareto front with
+/// identical search counters — nothing a request leaves behind changes
+/// what the next identical one computes.
 ///
-/// The assertions are counters, not wall-clock ratios: how much faster
-/// the repeat runs is measured by the benchmark's `design_session`
-/// workload, where machine load cannot fail a test.
+/// The assertions are counters, not wall-clock ratios: how fast repeats
+/// run is measured by the benchmark's `design_session` workload, where
+/// machine load cannot fail a test.
 #[test]
-fn repeated_request_is_answered_from_the_evaluation_cache() {
-    // The response cache is disabled so the repeat actually re-runs its
-    // search against the *evaluation* cache (with it on, the repeat is a
-    // verbatim fast-path replay and never touches the evaluator — that
-    // path is covered by the pipeline tests).
+fn repeated_request_reruns_its_search_identically() {
+    // With the response cache on, the repeat is a verbatim fast-path
+    // replay that never touches the evaluator; that path is covered by
+    // the pipeline tests.
     let service = MappingService::with_config(ServiceConfig {
         response_cache_entries: 0,
         ..Default::default()
@@ -214,28 +116,24 @@ fn repeated_request_is_answered_from_the_evaluation_cache() {
         .seed(3);
 
     let cold = service.submit(&request).unwrap();
-    assert!(cold.stats.cache_misses > 0, "cold request hit a cold cache");
-    for _ in 0..3 {
-        let warm = service.submit(&request).unwrap();
-        assert_eq!(cold.pareto_front, warm.pareto_front);
-        assert_eq!(cold.best_by_objective, warm.best_by_objective);
-        assert_eq!(warm.stats.cache_misses, 0, "warm request re-evaluated");
-        // The search-loop memo answers elite replays before the cache is
-        // even consulted, so cache traffic counts *distinct* genomes:
-        // every one of the warm request's fresh lookups is a hit, and
-        // both requests agree on how many distinct genomes the
-        // (identical) search visited.
+    assert!(cold.stats.evaluations_performed > 0);
+    for repeat in 1..=3 {
+        let again = service.submit(&request).unwrap();
         assert_eq!(
-            warm.stats.cache_hits,
-            warm.stats.evaluations_performed as u64
+            service.pipeline_stats().searches_run,
+            1 + repeat,
+            "the repeat must run its own search"
         );
+        assert_eq!(cold.pareto_front, again.pareto_front);
+        assert_eq!(cold.best_by_objective, again.best_by_objective);
         assert_eq!(
-            warm.stats.evaluations_performed,
+            again.stats.evaluations_performed,
             cold.stats.evaluations_performed
         );
+        assert_eq!(again.stats.memo_hits, cold.stats.memo_hits);
         assert_eq!(
-            warm.stats.evaluations,
-            warm.stats.evaluations_performed + warm.stats.memo_hits
+            again.stats.evaluations,
+            again.stats.evaluations_performed + again.stats.memo_hits
         );
     }
 }
@@ -312,51 +210,6 @@ fn submit_batch_is_bit_identical_to_sequential_submit() {
     }
 }
 
-/// Property: the shared cache's counters stay consistent under a
-/// multi-threaded batch — fresh inserts never exceed compute-path misses,
-/// residency never exceeds capacity, and the coalescing counters agree
-/// with the batch accounting.
-#[test]
-fn batch_keeps_shared_cache_counters_consistent() {
-    let service = MappingService::new();
-    let batch = mixed_batch();
-    let report = service.submit_batch_with(&batch, &BatchConfig::new().max_concurrent(4));
-    for response in &report.responses {
-        assert!(response.is_ok());
-    }
-
-    let stats = service.cache_stats();
-    assert!(
-        stats.insertions <= stats.misses,
-        "insertions {} exceed misses {}",
-        stats.insertions,
-        stats.misses
-    );
-    assert!(
-        stats.entries <= service.cache().capacity(),
-        "residency {} exceeds capacity {}",
-        stats.entries,
-        service.cache().capacity()
-    );
-    assert!(stats.insertions as usize >= stats.entries);
-    assert!(stats.coalesced <= stats.misses);
-    assert!(stats.hits > 0, "batch with duplicates produced no reuse");
-
-    // Replaying the whole batch is answered without a single fresh
-    // evaluation — the scheduler coalesces within the batch and the cache
-    // carries reuse across batches.
-    let before = service.cache_stats();
-    let replay = service.submit_batch_with(&batch, &BatchConfig::new().max_concurrent(4));
-    for (fresh, replayed) in report.responses.iter().zip(&replay.responses) {
-        assert_eq!(
-            fresh.as_ref().unwrap().pareto_front,
-            replayed.as_ref().unwrap().pareto_front
-        );
-    }
-    let after = service.cache_stats();
-    assert_eq!(after.insertions, before.insertions, "replay re-evaluated");
-}
-
 /// N identical requests in one batch run exactly one search and clone one
 /// response for the rest.
 #[test]
@@ -378,9 +231,13 @@ fn identical_requests_coalesce_onto_one_search() {
         assert_eq!(response.pareto_front, leader.pareto_front);
         assert_eq!(response.stats, leader.stats);
     }
-    // Exactly one search's worth of fresh evaluations hit the cache.
-    let stats = service.cache_stats();
-    assert_eq!(stats.insertions, leader.stats.cache_misses);
+    // Exactly one search's worth of evaluations reached the evaluator.
+    let performed = service
+        .metrics_snapshot()
+        .counter_value("mnc_evaluations_performed_total")
+        .expect("the pipeline registers its evaluation counter");
+    assert_eq!(performed, leader.stats.evaluations_performed as u64);
+    assert_eq!(service.pipeline_stats().searches_run, 1);
 }
 
 /// The warm-start acceptance property: once the elite archive holds

@@ -48,9 +48,9 @@ pub use reactor::{spawn_reactor_on_ephemeral_port, ReactorConfig, ReactorHandle,
 
 use mnc_runtime::{MappingRequest, MappingService, RuntimeError, TelemetryConfig};
 use mnc_wire::{
-    decode_request, encode_response, ErrorCode, MetricsReport, PersistReport, ServiceStats,
-    WireBatch, WireBatchReport, WireBody, WireError, WireOutcome, WirePayload, WireRequest,
-    WireResponse, WireResult, PROTOCOL_VERSION,
+    decode_request, encode_response, CacheStats, ErrorCode, MetricsReport, PersistReport,
+    ServiceStats, WireBatch, WireBatchReport, WireBody, WireError, WireOutcome, WirePayload,
+    WireRequest, WireResponse, WireResult, PROTOCOL_VERSION,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -297,10 +297,10 @@ impl Dispatcher {
         }
     }
 
-    /// Snapshot of the service's cache/pipeline/archive counters.
+    /// Snapshot of the service's pipeline/archive counters.
     pub fn stats(&self) -> ServiceStats {
         ServiceStats {
-            cache: self.service.cache_stats(),
+            cache: CacheStats::default(),
             pipeline: self.service.pipeline_stats(),
             archive_genomes: self.service.elite_archive().len(),
         }

@@ -29,8 +29,8 @@
 pub mod frame;
 
 use mnc_runtime::{
-    BatchConfig, BatchStats, CacheStats, LatencySummary, MappingRequest, MappingResponse,
-    MetricsSnapshot, PipelineStats, RuntimeError,
+    BatchConfig, BatchStats, LatencySummary, MappingRequest, MappingResponse, MetricsSnapshot,
+    PipelineStats, RuntimeError,
 };
 use serde::{Deserialize, Serialize};
 
@@ -226,11 +226,28 @@ pub struct WireBatchReport {
     pub stats: BatchStats,
 }
 
-/// Service-lifetime counters: the evaluation cache, the per-stage
-/// pipeline counters and the warm-start archive size.
+/// The counters of the cross-request evaluation cache the service no
+/// longer keeps; every field reads zero. The struct stays on the wire
+/// only because the benchmark harness under `perfbench/` still reads
+/// these four fields, and goes with the next change to that harness.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct CacheStats {
+    /// Always 0.
+    pub hits: u64,
+    /// Always 0.
+    pub misses: u64,
+    /// Always 0.
+    pub evictions: u64,
+    /// Always 0.
+    pub entries: usize,
+}
+
+/// Service-lifetime counters: the per-stage pipeline counters and the
+/// warm-start archive size.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServiceStats {
-    /// Evaluation-cache counters.
+    /// Always zero: the service keeps no cross-request evaluation cache.
+    /// See [`CacheStats`].
     pub cache: CacheStats,
     /// Per-stage request-pipeline counters.
     pub pipeline: PipelineStats,

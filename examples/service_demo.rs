@@ -1,6 +1,6 @@
 //! Demo of the mapping service: submit a batch of requests (with
 //! duplicates) for several models and platforms through the coalescing
-//! batch scheduler, then repeat one request to show the evaluation cache
+//! batch scheduler, then repeat one request to show the response cache
 //! at work.
 //!
 //! ```text
@@ -45,8 +45,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!(
-        "{:<26} {:<16} {:>6} {:>7} {:>7} {:>6} {:>9} {:>9} {:>9}",
-        "model", "platform", "front", "evals", "fresh", "memo", "hit%", "ms", "best obj"
+        "{:<26} {:<16} {:>6} {:>7} {:>7} {:>6} {:>9} {:>9}",
+        "model", "platform", "front", "evals", "fresh", "memo", "ms", "best obj"
     );
     for result in &report.responses {
         let response = result.as_ref().map_err(|e| Box::new(e.clone()))?;
@@ -56,28 +56,29 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .map(|c| format!("{:.3}", c.result.objective))
             .unwrap_or_else(|| "-".to_string());
         println!(
-            "{:<26} {:<16} {:>6} {:>7} {:>7} {:>6} {:>8.1}% {:>9.1} {:>9}",
+            "{:<26} {:<16} {:>6} {:>7} {:>7} {:>6} {:>9.1} {:>9}",
             response.model,
             response.platform,
             response.pareto_front.len(),
             response.stats.evaluations,
             response.stats.evaluations_performed,
             response.stats.memo_hits,
-            response.stats.cache_hit_ratio() * 100.0,
             response.stats.elapsed_ms,
             best,
         );
     }
 
-    // Replay the first request: the whole search is answered from cache.
+    // Replay the first request: the response cache answers it on the
+    // fast path with the stored response, so no second search runs.
+    let searches_before = service.pipeline_stats().searches_run;
+    let started = std::time::Instant::now();
     let replay = service.submit(&requests[0])?;
     println!(
-        "\nreplayed {} on {}: {:.1}% cache hits, {} memo hits, {:.1} ms",
+        "\nreplayed {} on {}: {} searches run, answered in {:.3} ms",
         replay.model,
         replay.platform,
-        replay.stats.cache_hit_ratio() * 100.0,
-        replay.stats.memo_hits,
-        replay.stats.elapsed_ms
+        service.pipeline_stats().searches_run - searches_before,
+        started.elapsed().as_secs_f64() * 1e3,
     );
 
     // Warm-start the same workload under a different seed: the elite
@@ -101,16 +102,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .as_ref()
             .map(|c| format!("{:.3}", c.result.objective))
             .unwrap_or_else(|| "-".to_string()),
-    );
-
-    let totals = service.cache_stats();
-    println!(
-        "cache after sweep: {} entries, {} hits / {} misses ({:.1}% hit ratio), {} coalesced lookups",
-        totals.entries,
-        totals.hits,
-        totals.misses,
-        totals.hit_ratio() * 100.0,
-        totals.coalesced,
     );
 
     // Every request above — batched, replayed, warm-started — went

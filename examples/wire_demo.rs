@@ -66,10 +66,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     println!(
-        "cache: {:.1}% hit ratio over {} lookups; archive: {} elite genomes",
-        stats.cache.hit_ratio() * 100.0,
-        stats.cache.hits + stats.cache.misses,
-        stats.archive_genomes,
+        "{} searches run, {} answered on the fast path; archive: {} elite genomes",
+        stats.pipeline.searches_run, stats.pipeline.fast_path_answered, stats.archive_genomes,
     );
 
     // Persist the elite archive, restart, and warm-start from it.

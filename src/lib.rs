@@ -18,8 +18,8 @@
 //!   the execution simulator, the objective and the evaluator,
 //! * [`optim`] — the evolutionary mapping search and Pareto utilities,
 //! * [`runtime`] — the concurrent mapping service: model/platform
-//!   registries, a sharded evaluation cache and parallel Pareto search
-//!   behind a staged request pipeline,
+//!   registries, an evaluator pool, a response cache and parallel Pareto
+//!   search behind a staged request pipeline,
 //! * [`telemetry`] — observability primitives: the metrics registry with
 //!   log-scale latency histograms, request span traces with bounded
 //!   recent/slow trace rings, per-generation search telemetry sinks and
